@@ -38,6 +38,20 @@ Counter& EvaluationsCounter() {
   return counter;
 }
 
+Counter& CobylaSubproblemsCounter() {
+  static Counter& counter = MetricsRegistry::Global().GetCounter(
+      "faro_autoscaler_cobyla_subproblems_total",
+      "COBYLA trust-region subproblems solved by Stage-2 solves");
+  return counter;
+}
+
+Counter& CobylaModelFitsCounter() {
+  static Counter& counter = MetricsRegistry::Global().GetCounter(
+      "faro_autoscaler_cobyla_model_fits_total",
+      "COBYLA linear-model fits (one LU factorisation each) by Stage-2 solves");
+  return counter;
+}
+
 Counter& StartsCounter() {
   static Counter& counter = MetricsRegistry::Global().GetCounter(
       "faro_autoscaler_solver_starts_total",
@@ -513,6 +527,8 @@ ScalingAction FaroAutoscaler::SolveFlat(const std::vector<JobSpec>& job_specs,
     const OptimResult pre_solution = Cobyla(pre_problem, from, solver);
     ++telemetry_.starts_launched;
     telemetry_.objective_evaluations += static_cast<uint64_t>(pre_solution.evaluations);
+    telemetry_.cobyla_subproblems += static_cast<uint64_t>(pre_solution.subproblem_solves);
+    telemetry_.cobyla_model_fits += static_cast<uint64_t>(pre_solution.model_fits);
     return pre_solution.max_violation <= 1e-3 ? pre_solution.x : from;
   };
 
@@ -579,6 +595,8 @@ ScalingAction FaroAutoscaler::SolveFlat(const std::vector<JobSpec>& job_specs,
     ++telemetry_.starts_launched;
     ++telemetry_.wins_warm_current;
     telemetry_.objective_evaluations += static_cast<uint64_t>(solution.evaluations);
+    telemetry_.cobyla_subproblems += static_cast<uint64_t>(solution.subproblem_solves);
+    telemetry_.cobyla_model_fits += static_cast<uint64_t>(solution.model_fits);
   } else {
     std::vector<StartPoint> starts;
     if (warm_hit) {
@@ -639,6 +657,8 @@ ScalingAction FaroAutoscaler::SolveFlat(const std::vector<JobSpec>& job_specs,
     telemetry_.race_rounds += ms_result.race.rounds;
     telemetry_.race_evals_saved += ms_result.race.evaluations_saved;
     telemetry_.objective_evaluations += static_cast<uint64_t>(ms_result.evaluations);
+    telemetry_.cobyla_subproblems += static_cast<uint64_t>(ms_result.subproblem_solves);
+    telemetry_.cobyla_model_fits += static_cast<uint64_t>(ms_result.model_fits);
     if (ms_result.deadline_hit) {
       ++telemetry_.deadline_misses;
     }
@@ -930,6 +950,8 @@ ScalingAction FaroAutoscaler::Decide(double now_s, const std::vector<JobSpec>& j
   CyclesCounter().Add(1);
   EvaluationsCounter().Add(telemetry_.objective_evaluations - before.objective_evaluations);
   StartsCounter().Add(telemetry_.starts_launched - before.starts_launched);
+  CobylaSubproblemsCounter().Add(telemetry_.cobyla_subproblems - before.cobyla_subproblems);
+  CobylaModelFitsCounter().Add(telemetry_.cobyla_model_fits - before.cobyla_model_fits);
   SolveSecondsHistogram().Record(solve_seconds);
   if (config_.audit != nullptr) {
     // Per-cycle decision audit record. Deterministic fields only: wall-clock

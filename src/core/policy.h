@@ -67,6 +67,8 @@ struct SolverTelemetry {
   uint64_t wins_heuristic = 0;
   uint64_t wins_jitter = 0;
   uint64_t objective_evaluations = 0;  // across all solver tasks
+  uint64_t cobyla_subproblems = 0;     // COBYLA trust-region subproblems solved
+  uint64_t cobyla_model_fits = 0;      // COBYLA linear-model fits (one LU each)
   uint64_t group_solves = 0;           // hierarchical per-group sub-solves
   double solve_seconds_total = 0.0;    // wall-clock inside Stage-2 solves
   double solve_seconds_max = 0.0;      // worst single cycle

@@ -44,14 +44,23 @@ class CobylaSolver {
   void Evaluate(Vertex& v);
   double MaxViolationOf(const Vertex& v) const;
   double Merit(const Vertex& v) const { return v.f + mu_ * MaxViolationOf(v); }
+  // Squared distance of simplex_[j] from simplex_[0].
+  double SquaredDistanceToBase(size_t j) const;
 
-  // Fits linear models around simplex_[0]; returns false when the simplex is
-  // numerically degenerate.
+  // Fits linear models around simplex_[0] from one factorisation of the
+  // simplex displacements; returns false when the simplex is numerically
+  // degenerate.
   bool FitModels();
 
+  // One pass over the constraint models: model_c_[i] = c_i + g_i.step at
+  // simplex_[0], each dot product summed in Dot's order. Returns the smallest
+  // value (0 when m_ == 0) and its lowest index in `active`.
+  double SweepConstraintModels(std::span<const double> step, size_t& active);
+
   // Solves min g.d + mu * max(0, -min_i(c_i + a_i.d)) over ||d|| <= rho via
-  // two-phase projected subgradient. Returns the step in `d`.
-  void SolveSubproblem(double rho, std::vector<double>& d) const;
+  // two-phase projected subgradient. Returns the step in `d` and its model
+  // merit as the return value.
+  double SolveSubproblem(double rho, std::vector<double>& d);
 
   // Replaces the vertex farthest from the best with a fresh point at distance
   // rho along the least-covered coordinate direction, restoring geometry.
@@ -67,10 +76,16 @@ class CobylaSolver {
 
   std::vector<Vertex> simplex_;
   // Linear models around simplex_[0].
+  LuFactors lu_;
   std::vector<double> grad_f_;
-  Matrix grad_c_;  // m_ x n_
+  // n_ x m_, column i the gradient of constraint i: the m_ sums of a sweep
+  // advance together along each row.
+  Matrix grad_c_;
+  std::vector<double> model_c_;  // last SweepConstraintModels() values
   double mu_ = 1.0;
   int evaluations_ = 0;
+  int subproblem_solves_ = 0;
+  int model_fits_ = 0;
   size_t geometry_coordinate_ = 0;
 };
 
@@ -96,48 +111,55 @@ double CobylaSolver::MaxViolationOf(const Vertex& v) const {
 }
 
 bool CobylaSolver::FitModels() {
-  Matrix d(n_, n_);
+  ++model_fits_;
+  Matrix displacements(n_, n_);
   for (size_t j = 0; j < n_; ++j) {
     for (size_t k = 0; k < n_; ++k) {
-      d(j, k) = simplex_[j + 1].x[k] - simplex_[0].x[k];
+      displacements(j, k) = simplex_[j + 1].x[k] - simplex_[0].x[k];
     }
   }
-  std::vector<double> rhs(n_);
-  for (size_t j = 0; j < n_; ++j) {
-    rhs[j] = simplex_[j + 1].f - simplex_[0].f;
-  }
-  if (!LuSolve(d, rhs, grad_f_)) {
+  if (!lu_.Factor(displacements)) {
     return false;
   }
-  grad_c_ = Matrix(m_, n_);
-  std::vector<double> gi;
-  for (size_t i = 0; i < m_; ++i) {
-    for (size_t j = 0; j < n_; ++j) {
-      rhs[j] = simplex_[j + 1].c[i] - simplex_[0].c[i];
-    }
-    if (!LuSolve(d, rhs, gi)) {
-      return false;
-    }
-    for (size_t k = 0; k < n_; ++k) {
-      grad_c_(i, k) = gi[k];
+  grad_f_.resize(n_);
+  grad_c_ = Matrix(n_, m_);
+  for (size_t j = 0; j < n_; ++j) {
+    grad_f_[j] = simplex_[j + 1].f - simplex_[0].f;
+    for (size_t i = 0; i < m_; ++i) {
+      grad_c_(j, i) = simplex_[j + 1].c[i] - simplex_[0].c[i];
     }
   }
+  lu_.Solve(grad_f_);
+  lu_.Solve(grad_c_.data());
   return true;
 }
 
-void CobylaSolver::SolveSubproblem(double rho, std::vector<double>& d) const {
-  d.assign(n_, 0.0);
-  const Vertex& base = simplex_[0];
-
-  auto model_min_constraint = [&](std::span<const double> step) {
-    double worst = kInf;
+double CobylaSolver::SweepConstraintModels(std::span<const double> step, size_t& active) {
+  model_c_.assign(m_, 0.0);
+  for (size_t k = 0; k < n_; ++k) {
+    const std::span<const double> g = grad_c_.row(k);
+    const double s = step[k];
     for (size_t i = 0; i < m_; ++i) {
-      worst = std::min(worst, base.c[i] + Dot(grad_c_.row(i), step));
+      model_c_[i] += g[i] * s;
     }
-    return m_ == 0 ? 0.0 : worst;
-  };
-  auto sub_merit = [&](std::span<const double> step) {
-    return Dot(grad_f_, step) + mu_ * std::max(0.0, -model_min_constraint(step));
+  }
+  const std::vector<double>& base_c = simplex_[0].c;
+  double worst = kInf;
+  active = 0;
+  for (size_t i = 0; i < m_; ++i) {
+    model_c_[i] = base_c[i] + model_c_[i];
+    if (model_c_[i] < worst) {
+      worst = model_c_[i];
+      active = i;
+    }
+  }
+  return m_ == 0 ? 0.0 : worst;
+}
+
+double CobylaSolver::SolveSubproblem(double rho, std::vector<double>& d) {
+  ++subproblem_solves_;
+  auto sub_merit = [&](std::span<const double> step, double min_constraint) {
+    return Dot(grad_f_, step) + mu_ * std::max(0.0, -min_constraint);
   };
   auto project = [&](std::vector<double>& step) {
     const double norm = Norm2(step);
@@ -149,30 +171,25 @@ void CobylaSolver::SolveSubproblem(double rho, std::vector<double>& d) const {
     }
   };
 
+  // `worst` and `active` always describe `current`: one sweep per step feeds
+  // both the step's merit and the next step's subgradient.
   std::vector<double> current(n_, 0.0);
+  size_t active = 0;
+  double worst = SweepConstraintModels(current, active);
   std::vector<double> best = current;
-  double best_merit = sub_merit(best);
+  double best_merit = sub_merit(best, worst);
   std::vector<double> subgrad(n_);
 
   // Phase 1: if the base point violates the linearised constraints, descend
   // pure violation first so phase 2 starts from a (model-)feasible region.
-  if (m_ > 0 && model_min_constraint(current) < 0.0) {
+  if (worst < 0.0) {
     for (int it = 1; it <= 40; ++it) {
       // Subgradient of -min_i c_hat_i: negative gradient of the active one.
-      double worst = kInf;
-      size_t active = 0;
-      for (size_t i = 0; i < m_; ++i) {
-        const double value = base.c[i] + Dot(grad_c_.row(i), current);
-        if (value < worst) {
-          worst = value;
-          active = i;
-        }
-      }
       if (worst >= 0.0) {
         break;
       }
       for (size_t k = 0; k < n_; ++k) {
-        subgrad[k] = -grad_c_(active, k);
+        subgrad[k] = -grad_c_(k, active);
       }
       const double norm = Norm2(subgrad);
       if (norm < 1e-14) {
@@ -183,12 +200,15 @@ void CobylaSolver::SolveSubproblem(double rho, std::vector<double>& d) const {
         current[k] -= step_len * subgrad[k] / norm;
       }
       project(current);
-      if (sub_merit(current) < best_merit) {
-        best_merit = sub_merit(current);
+      worst = SweepConstraintModels(current, active);
+      const double merit = sub_merit(current, worst);
+      if (merit < best_merit) {
+        best_merit = merit;
         best = current;
       }
     }
     current = best;
+    worst = SweepConstraintModels(current, active);
   }
 
   // Phase 2: projected subgradient on the merit model.
@@ -196,20 +216,9 @@ void CobylaSolver::SolveSubproblem(double rho, std::vector<double>& d) const {
   for (int it = 1; it <= iterations; ++it) {
     // Subgradient of g.d + mu * max(0, -min_i c_hat_i).
     subgrad = grad_f_;
-    if (m_ > 0) {
-      double worst = kInf;
-      size_t active = 0;
-      for (size_t i = 0; i < m_; ++i) {
-        const double value = base.c[i] + Dot(grad_c_.row(i), current);
-        if (value < worst) {
-          worst = value;
-          active = i;
-        }
-      }
-      if (worst < 0.0) {
-        for (size_t k = 0; k < n_; ++k) {
-          subgrad[k] -= mu_ * grad_c_(active, k);
-        }
+    if (worst < 0.0) {
+      for (size_t k = 0; k < n_; ++k) {
+        subgrad[k] -= mu_ * grad_c_(k, active);
       }
     }
     const double norm = Norm2(subgrad);
@@ -221,13 +230,24 @@ void CobylaSolver::SolveSubproblem(double rho, std::vector<double>& d) const {
       current[k] -= step_len * subgrad[k] / norm;
     }
     project(current);
-    const double merit = sub_merit(current);
+    worst = SweepConstraintModels(current, active);
+    const double merit = sub_merit(current, worst);
     if (merit < best_merit) {
       best_merit = merit;
       best = current;
     }
   }
   d = best;
+  return best_merit;
+}
+
+double CobylaSolver::SquaredDistanceToBase(size_t j) const {
+  double dist = 0.0;
+  for (size_t k = 0; k < n_; ++k) {
+    const double delta = simplex_[j].x[k] - simplex_[0].x[k];
+    dist += delta * delta;
+  }
+  return dist;
 }
 
 void CobylaSolver::GeometryStep(double rho) {
@@ -235,11 +255,7 @@ void CobylaSolver::GeometryStep(double rho) {
   size_t farthest = 1;
   double max_dist = -1.0;
   for (size_t j = 1; j <= n_; ++j) {
-    double dist = 0.0;
-    for (size_t k = 0; k < n_; ++k) {
-      const double delta = simplex_[j].x[k] - simplex_[0].x[k];
-      dist += delta * delta;
-    }
+    const double dist = SquaredDistanceToBase(j);
     if (dist > max_dist) {
       max_dist = dist;
       farthest = j;
@@ -283,29 +299,18 @@ OptimResult CobylaSolver::Solve() {
     // Vertices far outside the trust region poison the linear models.
     double max_dist = 0.0;
     for (size_t j = 1; j <= n_; ++j) {
-      double dist = 0.0;
-      for (size_t k = 0; k < n_; ++k) {
-        const double delta = simplex_[j].x[k] - simplex_[0].x[k];
-        dist += delta * delta;
-      }
-      max_dist = std::max(max_dist, std::sqrt(dist));
+      max_dist = std::max(max_dist, std::sqrt(SquaredDistanceToBase(j)));
     }
     if (max_dist > 2.5 * rho || !FitModels()) {
       GeometryStep(rho);
       continue;
     }
 
-    SolveSubproblem(rho, d);
+    // Predicted merit reduction from the linear models.
+    const double predicted_merit = SolveSubproblem(rho, d);
     const double step_norm = Norm2(d);
 
     const Vertex& base = simplex_[0];
-    // Predicted merit reduction from the linear models.
-    double predicted_violation = 0.0;
-    for (size_t i = 0; i < m_; ++i) {
-      predicted_violation =
-          std::max(predicted_violation, -(base.c[i] + Dot(grad_c_.row(i), d)));
-    }
-    const double predicted_merit = Dot(grad_f_, d) + mu_ * predicted_violation;
     const double base_merit_excess = mu_ * MaxViolationOf(base);
     const double predicted_reduction = base_merit_excess - predicted_merit;
 
@@ -370,6 +375,8 @@ OptimResult CobylaSolver::Solve() {
   // Report the best vertex, preferring feasibility.
   OptimResult result;
   result.evaluations = evaluations_;
+  result.subproblem_solves = subproblem_solves_;
+  result.model_fits = model_fits_;
   result.converged = converged;
   size_t best = 0;
   bool best_feasible = MaxViolationOf(simplex_[0]) <= 1e-6;

@@ -33,6 +33,13 @@ OptimResult SolveOneTask(const Problem& problem, const std::vector<double>& x0,
   return refined;
 }
 
+// Adds one finished task's work to the multi-start totals.
+void AddWork(const OptimResult& result, MultiStartResult& out) {
+  out.evaluations += result.evaluations;
+  out.subproblem_solves += result.subproblem_solves;
+  out.model_fits += result.model_fits;
+}
+
 // Heuristic and jittered starts are scouts: they exist to catch the incumbent
 // napping after a load shift, not to be polished to convergence. Quarter
 // budgets keep them off the fan-out's critical path -- and off the total-work
@@ -172,7 +179,7 @@ MultiStartResult RaceSolve(const Problem& problem, const std::vector<StartPoint>
                          config.racing_confirm_evals < cap[s];
     arms[s].result = run_prefix(s, confirm ? config.racing_confirm_evals : cap[s]);
     arms[s].ran = true;
-    out.evaluations += arms[s].result.evaluations;
+    AddWork(arms[s].result, out);
     bool exits = exit_quality(s, arms[s].result);
     if (confirm && !exits && config.racing_confirm_rerun &&
         arms[s].result.evaluations >= config.racing_confirm_evals) {
@@ -182,7 +189,7 @@ MultiStartResult RaceSolve(const Problem& problem, const std::vector<StartPoint>
       // converged at rho_end -- the full tier would replay it bit-identically,
       // so the re-run is skipped.)
       arms[s].result = run_prefix(s, cap[s]);
-      out.evaluations += arms[s].result.evaluations;
+      AddWork(arms[s].result, out);
       exits = exit_quality(s, arms[s].result);
     }
     arms[s].rankable = true;
@@ -233,7 +240,7 @@ MultiStartResult RaceSolve(const Problem& problem, const std::vector<StartPoint>
       ArmStats gains;
       std::vector<double> probe_gain(n, 0.0);
       for (size_t s : scouts) {
-        out.evaluations += arms[s].result.evaluations;
+        AddWork(arms[s].result, out);
         OptimResult start_point;
         start_point.value = start_value(s);
         start_point.max_violation = problem.MaxViolation(starts[s].x);
@@ -297,7 +304,7 @@ MultiStartResult RaceSolve(const Problem& problem, const std::vector<StartPoint>
         }
         const double before = merit(arms[challenger].result);
         arms[challenger].result = run_prefix(challenger, cap[challenger]);
-        out.evaluations += arms[challenger].result.evaluations;
+        AddWork(arms[challenger].result, out);
         arms[challenger].rankable = true;
         gains.Add(std::max(0.0, before - merit(arms[challenger].result)));
         ++out.race.rounds;
@@ -498,7 +505,7 @@ MultiStartResult MultiStartSolve(const Problem& problem, std::vector<StartPoint>
       continue;
     }
     ++out.starts_launched;
-    out.evaluations += slot.result.evaluations;
+    AddWork(slot.result, out);
     if (t <= rank_limit &&
         (winner == tasks ||
          RanksBetter(slot.result, slots[winner].result, config.feasibility_tolerance))) {

@@ -171,6 +171,9 @@ struct MultiStartResult {
   bool deadline_hit = false; // at least one task was skipped by the deadline
   bool raced = false;        // the BAI racing path produced this result
   int64_t evaluations = 0;   // objective evaluations across launched tasks
+  // COBYLA work across launched tasks: OptimResult's counters, summed.
+  int64_t subproblem_solves = 0;
+  int64_t model_fits = 0;
   RacingTelemetry race;      // all-zero unless `raced`
 };
 

@@ -70,6 +70,10 @@ struct OptimResult {
   double max_violation = 0.0;
   int evaluations = 0;
   bool converged = false;
+  // COBYLA work counts (zero for the other solvers): trust-region
+  // subproblems solved and linear-model fits (one LU factorisation each).
+  int subproblem_solves = 0;
+  int model_fits = 0;
 };
 
 }  // namespace faro

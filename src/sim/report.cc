@@ -156,7 +156,7 @@ bool WriteSolverCsv(const std::string& path, const RunResult& result) {
          "wins_warm_current,wins_prev_solution,wins_heuristic,wins_jitter,"
          "objective_evaluations,group_solves,solve_ms_mean,solve_ms_max,"
          "deadline_misses,fallback_warm,fallback_heuristic,forecast_fallbacks,"
-         "actuation_retries,capacity_resolves\n";
+         "actuation_retries,capacity_resolves,cobyla_subproblems,cobyla_model_fits\n";
   out << s.cycles << ',' << s.starts_launched << ',' << s.starts_cancelled << ','
       << s.starts_deadline_skipped << ',' << s.starts_pruned << ',' << s.race_rounds
       << ',' << s.race_evals_saved << ','
@@ -166,7 +166,8 @@ bool WriteSolverCsv(const std::string& path, const RunResult& result) {
       << 1000.0 * s.solve_seconds_total / cycles << ',' << 1000.0 * s.solve_seconds_max
       << ',' << s.deadline_misses << ',' << s.fallback_warm << ',' << s.fallback_heuristic
       << ',' << s.forecast_fallbacks << ',' << s.actuation_retries << ','
-      << s.capacity_resolves << '\n';
+      << s.capacity_resolves << ',' << s.cobyla_subproblems << ',' << s.cobyla_model_fits
+      << '\n';
   return static_cast<bool>(out);
 }
 

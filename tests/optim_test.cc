@@ -1,5 +1,9 @@
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <random>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,6 +50,140 @@ TEST(LinAlgTest, SingularDetected) {
   a(1, 1) = 4.0;
   std::vector<double> x;
   EXPECT_FALSE(LuSolve(a, std::vector<double>{1.0, 2.0}, x));
+}
+
+// The elimination LuSolve ran before factorisations were kept: one
+// right-hand side eliminated alongside a copy of the matrix, whole rows
+// swapped. Kept verbatim as the bit-equality reference for LuFactors.
+// `swaps` counts the steps whose pivot row differed from the diagonal.
+bool ReferenceLuSolve(const Matrix& a, std::span<const double> b, std::vector<double>& x,
+                      size_t& swaps) {
+  const size_t n = a.rows();
+  if (n == 0 || a.cols() != n || b.size() != n) {
+    return false;
+  }
+  Matrix lu = a;
+  std::vector<double> rhs(b.begin(), b.end());
+  swaps = 0;
+  for (size_t col = 0; col < n; ++col) {
+    size_t pivot = col;
+    double best = std::abs(lu(col, col));
+    for (size_t r = col + 1; r < n; ++r) {
+      const double mag = std::abs(lu(r, col));
+      if (mag > best) {
+        best = mag;
+        pivot = r;
+      }
+    }
+    if (best < 1e-14) {
+      return false;
+    }
+    if (pivot != col) {
+      ++swaps;
+      for (size_t c = 0; c < n; ++c) {
+        std::swap(lu(pivot, c), lu(col, c));
+      }
+      std::swap(rhs[pivot], rhs[col]);
+    }
+    for (size_t r = col + 1; r < n; ++r) {
+      const double factor = lu(r, col) / lu(col, col);
+      lu(r, col) = 0.0;
+      for (size_t c = col + 1; c < n; ++c) {
+        lu(r, c) -= factor * lu(col, c);
+      }
+      rhs[r] -= factor * rhs[col];
+    }
+  }
+  x.assign(n, 0.0);
+  for (size_t ri = n; ri-- > 0;) {
+    double sum = rhs[ri];
+    for (size_t c = ri + 1; c < n; ++c) {
+      sum -= lu(ri, c) * x[c];
+    }
+    x[ri] = sum / lu(ri, ri);
+  }
+  return true;
+}
+
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Solves every column of `b` (n x k) three ways -- the reference, LuSolve,
+// and one multi-column LuFactors::Solve -- and expects identical bits.
+// Returns the reference's pivot swap count.
+size_t ExpectFactorOnceMatchesReference(const Matrix& a, const Matrix& b) {
+  const size_t n = a.rows();
+  LuFactors lu;
+  EXPECT_TRUE(lu.Factor(a));
+  Matrix solved = b;
+  lu.Solve(solved.data());
+  size_t swaps = 0;
+  for (size_t j = 0; j < b.cols(); ++j) {
+    std::vector<double> column(n);
+    std::vector<double> got_column(n);
+    for (size_t r = 0; r < n; ++r) {
+      column[r] = b(r, j);
+      got_column[r] = solved(r, j);
+    }
+    std::vector<double> want;
+    std::vector<double> got;
+    EXPECT_TRUE(ReferenceLuSolve(a, column, want, swaps));
+    EXPECT_TRUE(LuSolve(a, column, got));
+    EXPECT_TRUE(SameBits(got, want)) << "n=" << n << " rhs " << j << " via LuSolve";
+    EXPECT_TRUE(SameBits(got_column, want)) << "n=" << n << " rhs " << j << " via Solve";
+  }
+  return swaps;
+}
+
+TEST(LinAlgTest, FactorOnceIsBitIdenticalToPerRhsElimination) {
+  std::mt19937_64 rng(0xfa20u);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (size_t n = 1; n <= 24; ++n) {
+    // Mixed magnitudes, and a shrunken diagonal so partial pivoting picks an
+    // off-diagonal row at most columns.
+    Matrix a(n, n);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t c = 0; c < n; ++c) {
+        a(r, c) = unit(rng) * std::ldexp(1.0, static_cast<int>(rng() % 9) - 4);
+      }
+      a(r, r) /= 64.0;
+    }
+    Matrix b(n, 30);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t j = 0; j < b.cols(); ++j) {
+        b(r, j) = unit(rng) * std::ldexp(1.0, static_cast<int>(rng() % 9) - 4);
+      }
+    }
+    const size_t swaps = ExpectFactorOnceMatchesReference(a, b);
+    if (n >= 4) {
+      EXPECT_GE(swaps, n / 2) << "n=" << n << ": too few pivot changes to test";
+    }
+  }
+}
+
+TEST(LinAlgTest, PivotSwapKeepsEarlierMultipliersInPlace) {
+  // Step 0 pivots on row 2 and leaves multipliers 0.5 (position 1) and 0.25
+  // (position 2); step 1 pivots on position 2 again. Swapping the step-0
+  // multipliers along with the rows would replay 0.25 on position 1 in the
+  // forward pass: a wrong solution, not just different bits.
+  Matrix a(3, 3);
+  const double rows[3][3] = {{1.0, 2.0, 3.0}, {2.0, 1.0, 1.0}, {4.0, 1.0, 5.0}};
+  for (size_t r = 0; r < 3; ++r) {
+    for (size_t c = 0; c < 3; ++c) {
+      a(r, c) = rows[r][c];
+    }
+  }
+  Matrix b(3, 1);
+  b(0, 0) = 14.0;  // A * (1, 2, 3)
+  b(1, 0) = 7.0;
+  b(2, 0) = 21.0;
+  EXPECT_EQ(ExpectFactorOnceMatchesReference(a, b), 2u);
+  std::vector<double> x;
+  ASSERT_TRUE(LuSolve(a, std::vector<double>{14.0, 7.0, 21.0}, x));
+  EXPECT_NEAR(x[0], 1.0, 1e-12);
+  EXPECT_NEAR(x[1], 2.0, 1e-12);
+  EXPECT_NEAR(x[2], 3.0, 1e-12);
 }
 
 TEST(ProblemTest, MaxViolationIncludesBounds) {

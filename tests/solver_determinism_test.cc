@@ -44,8 +44,10 @@ JobMetrics MakeMetrics(double rate, uint32_t replicas) {
 
 // Runs `cycles` long-term decisions with evolving loads and returns every
 // action, so warm-start reuse across cycles is part of what is compared.
+// The solver's telemetry after the last cycle goes to `telemetry` if given.
 std::vector<ScalingAction> RunCycles(const FaroConfig& config, size_t num_jobs,
-                                     double capacity, size_t cycles) {
+                                     double capacity, size_t cycles,
+                                     SolverTelemetry* telemetry = nullptr) {
   FaroAutoscaler faro(config);
   const auto specs = MakeSpecs(num_jobs);
   const ClusterResources resources{capacity, capacity};
@@ -63,6 +65,9 @@ std::vector<ScalingAction> RunCycles(const FaroConfig& config, size_t num_jobs,
         faro.Decide(300.0 * static_cast<double>(cycle + 1), specs, metrics, resources);
     current = action.replicas;
     actions.push_back(std::move(action));
+  }
+  if (telemetry != nullptr) {
+    *telemetry = faro.solver_telemetry();
   }
   return actions;
 }
@@ -88,12 +93,22 @@ void ExpectIdenticalActions(const std::vector<ScalingAction>& a,
 void CheckAcrossParallelism(FaroConfig config, size_t num_jobs, double capacity,
                             const std::string& label) {
   config.solve_parallelism = 1;
-  const std::vector<ScalingAction> serial = RunCycles(config, num_jobs, capacity, 4);
+  SolverTelemetry serial_work;
+  const std::vector<ScalingAction> serial =
+      RunCycles(config, num_jobs, capacity, 4, &serial_work);
+  EXPECT_GT(serial_work.cobyla_subproblems, 0u) << label;
+  EXPECT_GT(serial_work.cobyla_model_fits, 0u) << label;
   for (const size_t parallelism : {size_t{2}, size_t{8}}) {
     config.solve_parallelism = parallelism;
-    const std::vector<ScalingAction> parallel = RunCycles(config, num_jobs, capacity, 4);
-    ExpectIdenticalActions(serial, parallel,
-                           label + " parallelism=" + std::to_string(parallelism));
+    SolverTelemetry parallel_work;
+    const std::vector<ScalingAction> parallel =
+        RunCycles(config, num_jobs, capacity, 4, &parallel_work);
+    const std::string where = label + " parallelism=" + std::to_string(parallelism);
+    ExpectIdenticalActions(serial, parallel, where);
+    // COBYLA's work counts are deterministic too: the same solves ran.
+    EXPECT_EQ(serial_work.objective_evaluations, parallel_work.objective_evaluations) << where;
+    EXPECT_EQ(serial_work.cobyla_subproblems, parallel_work.cobyla_subproblems) << where;
+    EXPECT_EQ(serial_work.cobyla_model_fits, parallel_work.cobyla_model_fits) << where;
   }
 }
 
