@@ -80,6 +80,7 @@ void Run(BenchJson& json) {
   std::printf("%-26s %-10s %-14s %-22s\n", "solver x formulation", "time (s)",
               "evaluations", "achieved step utility");
   for (const bool use_relaxed : {false, true}) {
+    const std::string formulation = use_relaxed ? "relaxed" : "precise";
     const ClusterObjective& objective = use_relaxed ? relaxed : precise;
     Problem problem = objective.BuildProblem();
     // Fair-share warm start: the state a running cluster would solve from.
@@ -103,9 +104,9 @@ void Run(BenchJson& json) {
         config.population = 100;
         result = DifferentialEvolution(problem, config);
       } else {
-        // The Stage-2 production driver: K seeded starts x (COBYLA, NM+AugLag)
-        // fanned across the thread pool, early exit disabled so every start
-        // competes on quality.
+        // The Stage-2 production driver: COBYLA raced from the warm start and
+        // four seeded jitters, early exit disabled so every start competes on
+        // quality.
         MultiStartConfig config;
         config.cobyla.rho_begin = 2.0;
         config.cobyla.rho_end = 1e-4;
@@ -120,69 +121,14 @@ void Run(BenchJson& json) {
       }
       const double elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-      std::printf("%-12s %-13s %-10.3f %-14d %-22.3f\n", solver,
-                  use_relaxed ? "relaxed" : "precise", elapsed, result.evaluations,
-                  StepObjective(precise, result.x));
+      const double utility = StepObjective(precise, result.x);
+      std::printf("%-12s %-13s %-10.3f %-14d %-22.3f\n", solver, formulation.c_str(),
+                  elapsed, result.evaluations, utility);
+      if (std::string(solver) == "MultiStart") {
+        json.Set(formulation + "_multistart_utility", utility);
+        json.Set(formulation + "_multistart_evals", static_cast<double>(result.evaluations));
+      }
     }
-
-    // BAI racing row + A/B: the same COBYLA-arm portfolio (1 warm start + 4
-    // jitters, early exit off) raced vs static tiers. The static twin
-    // isolates the racing effect -- the MultiStart row above also runs the
-    // NelderMead->AugLag chain, so it is not the right denominator.
-    MultiStartConfig ms_config;
-    ms_config.cobyla.rho_begin = 2.0;
-    ms_config.cobyla.rho_end = 1e-4;
-    ms_config.cobyla.max_evaluations = 8000;
-    ms_config.early_exit = false;
-    ms_config.seed = 7;
-    ms_config.use_alternate = false;
-    // On this 10-job snapshot the arms converge at rho_end below their tier
-    // caps, so there is no budget for racing to reclaim. A probe at the
-    // scout tier makes the race run the static tiers arm-for-arm (converged
-    // probes are final by the prefix property; nothing is re-run), keeping
-    // the A/B an apples-to-apples winner check. Racing's savings come at
-    // scale, where arms are cap-bound (see bench_tab08).
-    ms_config.racing_probe_evals = 2048;
-    std::vector<StartPoint> starts;
-    starts.push_back({x0, StartKind::kWarmCurrent});
-
-    ms_config.racing = true;
-    auto bai_start = std::chrono::steady_clock::now();
-    const MultiStartResult bai = MultiStartSolve(problem, starts, 4, ms_config);
-    const double bai_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - bai_start).count();
-
-    ms_config.racing = false;
-    auto twin_start = std::chrono::steady_clock::now();
-    const MultiStartResult twin = MultiStartSolve(problem, starts, 4, ms_config);
-    const double twin_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - twin_start).count();
-
-    const double bai_utility = StepObjective(precise, bai.best.x);
-    const double twin_utility = StepObjective(precise, twin.best.x);
-    std::printf("%-12s %-13s %-10.3f %-14lld %-22.3f\n", "MultiStart-BAI",
-                use_relaxed ? "relaxed" : "precise", bai_s,
-                static_cast<long long>(bai.evaluations), bai_utility);
-    std::printf("  A/B vs static tiers (COBYLA arms): %.3f s / %lld evals static -> "
-                "%.2fx solve speedup, winner %s (pruned %zu of %zu arms)\n",
-                twin_s, static_cast<long long>(twin.evaluations),
-                bai_s > 0.0 ? twin_s / bai_s : 0.0,
-                bai.winner_start == twin.winner_start ? "identical" : "DIFFERENT",
-                bai.starts_pruned, bai.starts_total);
-    const std::string prefix = use_relaxed ? "relaxed" : "precise";
-    json.Set(prefix + "_bai_utility", bai_utility);
-    json.Set(prefix + "_bai_evals", static_cast<double>(bai.evaluations));
-    json.Set(prefix + "_bai_solve_s", bai_s);
-    json.Set(prefix + "_static_utility", twin_utility);
-    json.Set(prefix + "_static_evals", static_cast<double>(twin.evaluations));
-    json.Set(prefix + "_static_solve_s", twin_s);
-    json.Set(prefix + "_bai_eval_savings",
-             twin.evaluations > 0
-                 ? 1.0 - static_cast<double>(bai.evaluations) /
-                             static_cast<double>(twin.evaluations)
-                 : 0.0);
-    json.Set(prefix + "_bai_winner_matches_static",
-             bai.winner_start == twin.winner_start ? 1.0 : 0.0);
   }
   std::printf("\n(max possible step utility = 10; the relaxed column should be near it\n"
               " for every solver, the precise column only for DiffEvolution, slowly)\n");

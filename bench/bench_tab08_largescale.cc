@@ -4,8 +4,8 @@
 //
 // Alongside the paper's quality metrics the tables report the Stage-2 solve
 // cost (wall-clock per decision cycle and objective evaluations), and a final
-// section A/B-compares the multi-start + parallel-group solve driver against
-// the legacy serial single-start path at the largest job count.
+// section reports the production solve driver's cost and racing telemetry at
+// the largest job count.
 
 #include <cctype>
 #include <cstdio>
@@ -98,12 +98,11 @@ void RunScale(BenchJson& json, size_t num_jobs, double capacity, bool noisy,
   }
 }
 
-// A/B: the multi-start driver with parallel hierarchical groups vs the legacy
-// serial single-start COBYLA path, on the largest (hierarchical) workload.
-// One trial with the trial loop forced serial so the solver fan-out owns the
-// thread pool -- the shape a production control loop runs in.
-void RunSolverComparison(BenchJson& json, size_t num_jobs, double capacity,
-                         size_t epochs) {
+// Solve cost of the production Stage-2 driver (multi-start + BAI racing,
+// parallel hierarchical groups) on the largest workload. One trial with the
+// trial loop forced serial so the solver fan-out owns the thread pool -- the
+// shape a production control loop runs in.
+void RunSolveCost(BenchJson& json, size_t num_jobs, double capacity, size_t epochs) {
   ExperimentSetup setup;
   setup.num_jobs = num_jobs;
   setup.capacity = capacity;
@@ -115,64 +114,20 @@ void RunSolverComparison(BenchJson& json, size_t num_jobs, double capacity,
   const PreparedWorkload workload = PrepareWorkload(setup);
   const auto predictor = TrainPredictor(workload, setup.seed, epochs);
 
-  // Three-way A/B: legacy serial single-start, the PR-2 static-tier
-  // multi-start driver, and the BAI racing driver (the production default).
-  // The committed `lost_utility_multistart` / `solve_ms_multistart` keys
-  // track the production driver, so CI keeps asserting the racing path's
-  // quality; `*_multistart_static` keeps the static tiers visible for the
-  // racing speedup column.
-  FaroConfig serial;
-  serial.multistart_starts = 1;     // legacy single-start path
-  serial.warm_start_cache = false;  // no cross-cycle reuse
-  serial.solve_parallelism = 1;     // groups solved one after another
-  FaroConfig static_tiers;  // K starts, warm cache -- racing disabled
-  static_tiers.multistart_racing = false;
-  FaroConfig racing;  // defaults: BAI racing on
-
-  struct Row {
-    const char* label;
-    const char* key;
-    const FaroConfig* overrides;
-  };
-  const Row rows[] = {{"serial single-start", "serial", &serial},
-                      {"multi-start static tiers", "multistart_static", &static_tiers},
-                      {"multi-start + BAI racing", "multistart", &racing}};
-  std::printf("\n-- solve cost, %zu jobs, %.0f replicas: racing vs static vs serial --\n",
+  const TrialAggregate agg = RunTrials(setup, workload, "Faro-FairSum", predictor, nullptr);
+  const double utility = static_cast<double>(num_jobs) - agg.lost_utility_mean;
+  std::printf("\n-- solve cost, %zu jobs, %.0f replicas: multi-start + BAI racing --\n",
               num_jobs, capacity);
-  std::printf("%-28s %-14s %-12s %-12s %-14s\n", "solver path", "solve ms/cyc",
-              "evals/cyc", "lost util", "mean utility");
-  double serial_ms = 0.0;
-  double static_ms = 0.0;
-  double racing_ms = 0.0;
-  for (const Row& row : rows) {
-    const TrialAggregate agg =
-        RunTrials(setup, workload, "Faro-FairSum", predictor, row.overrides);
-    const double utility = static_cast<double>(num_jobs) - agg.lost_utility_mean;
-    std::printf("%-28s %9.2f      %9.0f    %8.2f     %9.2f\n", row.label,
-                agg.solve_ms_per_cycle_mean, agg.solver_evals_per_cycle_mean,
-                agg.lost_utility_mean, utility);
-    json.Set(std::string("lost_utility_") + row.key, agg.lost_utility_mean);
-    json.Set(std::string("solve_ms_") + row.key, agg.solve_ms_per_cycle_mean);
-    json.Set(std::string("solver_evals_") + row.key, agg.solver_evals_per_cycle_mean);
-    if (row.overrides == &serial) {
-      serial_ms = agg.solve_ms_per_cycle_mean;
-    } else if (row.overrides == &static_tiers) {
-      static_ms = agg.solve_ms_per_cycle_mean;
-    } else {
-      racing_ms = agg.solve_ms_per_cycle_mean;
-      json.Set("racing_evals_saved_per_cycle", agg.solver_race_evals_saved_per_cycle_mean);
-      json.Set("racing_starts_pruned_per_cycle", agg.solver_starts_pruned_per_cycle_mean);
-      json.Set("racing_rounds_per_cycle", agg.solver_race_rounds_per_cycle_mean);
-    }
-  }
-  if (racing_ms > 0.0) {
-    std::printf("per-cycle solve speedup vs serial: %.2fx\n", serial_ms / racing_ms);
-    json.Set("solve_speedup", serial_ms / racing_ms);
-  }
-  if (racing_ms > 0.0 && static_ms > 0.0) {
-    std::printf("racing speedup vs static tiers:    %.2fx\n", static_ms / racing_ms);
-    json.Set("racing_speedup", static_ms / racing_ms);
-  }
+  std::printf("%-14s %-12s %-12s %-14s\n", "solve ms/cyc", "evals/cyc", "lost util",
+              "mean utility");
+  std::printf("%9.2f      %9.0f    %8.2f     %9.2f\n", agg.solve_ms_per_cycle_mean,
+              agg.solver_evals_per_cycle_mean, agg.lost_utility_mean, utility);
+  json.Set("lost_utility_multistart", agg.lost_utility_mean);
+  json.Set("solve_ms_multistart", agg.solve_ms_per_cycle_mean);
+  json.Set("solver_evals_multistart", agg.solver_evals_per_cycle_mean);
+  json.Set("racing_evals_saved_per_cycle", agg.solver_race_evals_saved_per_cycle_mean);
+  json.Set("racing_starts_pruned_per_cycle", agg.solver_starts_pruned_per_cycle_mean);
+  json.Set("racing_rounds_per_cycle", agg.solver_race_rounds_per_cycle_mean);
 }
 
 }  // namespace
@@ -187,7 +142,7 @@ int main(int argc, char** argv) {
   const double large_capacity = faro::FastBench() ? 130.0 : 320.0;
   faro::RunScale(obs.json(), large_jobs, large_capacity, /*noisy=*/false,
                  /*epochs=*/faro::FastBench() ? 2 : 5);
-  faro::RunSolverComparison(obs.json(), large_jobs, large_capacity,
-                            /*epochs=*/faro::FastBench() ? 2 : 5);
+  faro::RunSolveCost(obs.json(), large_jobs, large_capacity,
+                     /*epochs=*/faro::FastBench() ? 2 : 5);
   return 0;
 }

@@ -152,9 +152,6 @@ std::string ValidateFaroConfig(const FaroConfig& config) {
   if (config.racing_delta <= 0.0 || config.racing_delta >= 1.0) {
     return "FaroConfig: racing_delta must be in (0, 1)";
   }
-  if (config.actuation_retry_backoff_s < 0.0) {
-    return "FaroConfig: actuation_retry_backoff_s must be >= 0 (0 disables)";
-  }
   return {};
 }
 
@@ -502,9 +499,8 @@ ScalingAction FaroAutoscaler::SolveFlat(const std::vector<JobSpec>& job_specs,
   solver.max_evaluations = config_.solver_max_evaluations;
 
   const uint64_t signature = JobSetSignature(job_specs, config_.objective);
-  const bool warm_hit = config_.warm_start_cache && warm_.valid &&
-                        warm_.signature == signature &&
-                        warm_.x.size() == objective.dimension();
+  const bool warm_hit =
+      warm_.valid && warm_.signature == signature && warm_.x.size() == objective.dimension();
 
   // Fairness terms gamma * (max U - min U) put a ridge along the symmetric
   // direction: from an allocation with equal utilities, improving any single
@@ -582,21 +578,6 @@ ScalingAction FaroAutoscaler::SolveFlat(const std::vector<JobSpec>& job_specs,
     ++telemetry_.deadline_misses;
     solution = fallback_solution();
     degraded = true;
-  } else if (config_.multistart_starts <= 1) {
-    // Legacy serial single-start path, kept for A/B comparison.
-    std::vector<double> x0 = has_fairness ? fairness_presolve(x_current) : x_current;
-    // Clip the full warm-start vector -- drop-rate coordinates included --
-    // into the problem's box before handing it to the solver.
-    problem.ClipToBounds(x0);
-    {
-      ScopedWallSpan solve_span(config_.trace, kAutoscalerTid, "stage2_solve", "autoscaler");
-      solution = Cobyla(problem, x0, solver);
-    }
-    ++telemetry_.starts_launched;
-    ++telemetry_.wins_warm_current;
-    telemetry_.objective_evaluations += static_cast<uint64_t>(solution.evaluations);
-    telemetry_.cobyla_subproblems += static_cast<uint64_t>(solution.subproblem_solves);
-    telemetry_.cobyla_model_fits += static_cast<uint64_t>(solution.model_fits);
   } else {
     std::vector<StartPoint> starts;
     if (warm_hit) {
@@ -611,30 +592,16 @@ ScalingAction FaroAutoscaler::SolveFlat(const std::vector<JobSpec>& job_specs,
 
     MultiStartConfig ms;
     ms.cobyla = solver;
-    // Breadth over depth: each start gets a quarter of the serial path's
+    // Breadth over depth: the primary start gets a quarter of the solver's
     // evaluation budget. COBYLA takes most of its improvement in the first
     // few hundred evaluations from a warm start; the integer exchange polish
     // repairs the truncated tail at far lower cost than letting the
     // continuous solver grind out its last fractional digits.
     ms.cobyla.max_evaluations = std::max(500, config_.solver_max_evaluations / 4);
-    // The alternate chain is budgeted likewise: a short NelderMead polish,
-    // then an AugLag refinement whose inner budget shrinks with the dimension
-    // (finite-difference gradients cost ~2n evaluations per inner step).
-    ms.nelder_mead.max_iterations =
-        std::max<size_t>(100, static_cast<size_t>(config_.solver_max_evaluations) / 8);
-    ms.auglag.outer_iterations = 2;
-    const size_t grad_cost = 2 * std::max<size_t>(1, objective.dimension());
-    ms.auglag.inner_iterations = std::clamp<size_t>(
-        static_cast<size_t>(config_.solver_max_evaluations) /
-            (4 * ms.auglag.outer_iterations * grad_cost),
-        5, 25);
-    ms.use_alternate = config_.multistart_alternate;
     ms.early_exit = config_.multistart_early_exit;
     ms.early_exit_improvement = config_.multistart_exit_improvement;
-    ms.racing = config_.multistart_racing;
     ms.racing_probe_evals = config_.racing_probe_evals;
     ms.racing_confirm_evals = config_.racing_confirm_evals;
-    ms.racing_confirm_rerun = config_.racing_confirm_rerun;
     ms.racing_delta = config_.racing_delta;
     ms.jitter = config_.multistart_jitter;
     ms.seed = solve_seed;
@@ -683,12 +650,10 @@ ScalingAction FaroAutoscaler::SolveFlat(const std::vector<JobSpec>& job_specs,
       }
     }
   }
-  if (config_.warm_start_cache) {
-    telemetry_.warm_start_hits += warm_hit ? 1 : 0;
-    warm_.signature = signature;
-    warm_.x = solution.x;
-    warm_.valid = true;
-  }
+  telemetry_.warm_start_hits += warm_hit ? 1 : 0;
+  warm_.signature = signature;
+  warm_.x = solution.x;
+  warm_.valid = true;
 
   ScalingAction action;
   {

@@ -1,7 +1,6 @@
 #include "src/optim/multistart.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <string>
 
@@ -11,55 +10,19 @@
 namespace faro {
 namespace {
 
-// One task: COBYLA, or the NelderMead->AugLag chain, from one start point.
-OptimResult SolveOneTask(const Problem& problem, const std::vector<double>& x0,
-                         bool alternate, const MultiStartConfig& config) {
-  if (!alternate) {
-    return Cobyla(problem, x0, config.cobyla);
-  }
-  const OptimResult simplex = NelderMead(problem, x0, config.nelder_mead);
-  OptimResult refined = AugmentedLagrangian(problem, simplex.x, config.auglag);
-  refined.evaluations += simplex.evaluations;
-  // AugLag can wander off a good simplex optimum chasing feasibility it
-  // already had; keep whichever of the two points ranks better.
-  const bool simplex_ok = simplex.max_violation <= config.feasibility_tolerance;
-  const bool refined_ok = refined.max_violation <= config.feasibility_tolerance;
-  if ((simplex_ok && !refined_ok) ||
-      (simplex_ok == refined_ok && simplex.value < refined.value)) {
-    refined.x = simplex.x;
-    refined.value = simplex.value;
-    refined.max_violation = simplex.max_violation;
-  }
-  return refined;
-}
-
-// Adds one finished task's work to the multi-start totals.
+// Adds one finished solve's work to the multi-start totals.
 void AddWork(const OptimResult& result, MultiStartResult& out) {
   out.evaluations += result.evaluations;
   out.subproblem_solves += result.subproblem_solves;
   out.model_fits += result.model_fits;
 }
 
-// Heuristic and jittered starts are scouts: they exist to catch the incumbent
-// napping after a load shift, not to be polished to convergence. Quarter
-// budgets keep them off the fan-out's critical path -- and off the total-work
-// bill on narrow machines -- while still sampling their basins.
-MultiStartConfig ScoutBudget(const MultiStartConfig& config) {
-  MultiStartConfig scout = config;
-  scout.cobyla.max_evaluations = std::max(200, config.cobyla.max_evaluations / 4);
-  scout.nelder_mead.max_iterations =
-      std::max<size_t>(50, config.nelder_mead.max_iterations / 4);
-  scout.auglag.outer_iterations = std::max<size_t>(1, config.auglag.outer_iterations / 2);
-  return scout;
-}
-
 bool IsScout(StartKind kind) {
   return kind == StartKind::kHeuristic || kind == StartKind::kJitter;
 }
 
-// Static-tier evaluation cap for one start: the racing path races toward the
-// exact budgets the static driver would have granted, so a fully extended arm
-// reproduces the static result bit-for-bit (COBYLA prefix property).
+// Evaluation cap for one start (see the header's tier caps). A fully extended
+// arm is bit-identical to one COBYLA run at this cap (prefix property).
 int TierCap(const std::vector<StartPoint>& starts, size_t s, const MultiStartConfig& config) {
   if (IsScout(starts[s].kind)) {
     return std::max(200, config.cobyla.max_evaluations / 4);
@@ -69,7 +32,7 @@ int TierCap(const std::vector<StartPoint>& starts, size_t s, const MultiStartCon
 }
 
 // Schedule-independent ranking: feasible beats infeasible, then lower
-// objective value, then lower task index (the caller iterates in index order).
+// objective value, then lower start index (the caller iterates in index order).
 bool RanksBetter(const OptimResult& challenger, const OptimResult& incumbent,
                  double tolerance) {
   const bool c_ok = challenger.max_violation <= tolerance;
@@ -83,14 +46,13 @@ bool RanksBetter(const OptimResult& challenger, const OptimResult& incumbent,
   return challenger.value < incumbent.value;
 }
 
-// The BAI racing driver (see the header's racing-mode contract). `starts` is
-// already jitter-expanded and clipped. Races COBYLA arms only.
+// The BAI racing driver (see the header's racing contract). `starts` is
+// already jitter-expanded and clipped.
 MultiStartResult RaceSolve(const Problem& problem, const std::vector<StartPoint>& starts,
                            const MultiStartConfig& config) {
   MultiStartResult out;
   const size_t n = starts.size();
   out.starts_total = n;
-  out.raced = true;
   out.race.races = 1;
   out.race.arms_total = n;
   const double tol = config.feasibility_tolerance;
@@ -100,13 +62,13 @@ MultiStartResult RaceSolve(const Problem& problem, const std::vector<StartPoint>
     double start_value = 0.0;  // objective at the start (for bar and gains)
     bool has_start_value = false;
     bool ran = false;
-    bool rankable = false;  // result is final (tier cap, or confirm-final)
+    bool rankable = false;  // result is final (tier cap, confirmation, or converged)
     bool pruned = false;
     bool deadline_skipped = false;
   };
   std::vector<Arm> arms(n);
   std::vector<int> cap(n);
-  int64_t static_equivalent = 0;
+  int64_t tier_budget = 0;  // sum of the caps of the arms that could run
   for (size_t s = 0; s < n; ++s) {
     cap[s] = TierCap(starts, s, config);
   }
@@ -145,8 +107,8 @@ MultiStartResult RaceSolve(const Problem& problem, const std::vector<StartPoint>
     }
     return arms[s].start_value;
   };
-  // The static driver's early-exit stability bar, verbatim (non-scout start,
-  // feasible start and result, improvement at most the bar).
+  // The early-exit stability bar (anchor start, feasible start and result,
+  // improvement at most the bar).
   auto exit_quality = [&](size_t s, const OptimResult& result) {
     if (!config.early_exit || IsScout(starts[s].kind) || result.max_violation > tol) {
       return false;
@@ -174,26 +136,14 @@ MultiStartResult RaceSolve(const Problem& problem, const std::vector<StartPoint>
       }
       break;
     }
-    static_equivalent += cap[s];
+    tier_budget += cap[s];
     const bool confirm = s == 0 && config.racing_confirm_evals > 0 &&
                          config.racing_confirm_evals < cap[s];
     arms[s].result = run_prefix(s, confirm ? config.racing_confirm_evals : cap[s]);
     arms[s].ran = true;
     AddWork(arms[s].result, out);
-    bool exits = exit_quality(s, arms[s].result);
-    if (confirm && !exits && config.racing_confirm_rerun &&
-        arms[s].result.evaluations >= config.racing_confirm_evals) {
-      // Confirmation failed with the budget exhausted: the landscape moved.
-      // Pay for the full tier so quality in shift cycles matches the static
-      // driver exactly. (A confirmation that stopped below its budget
-      // converged at rho_end -- the full tier would replay it bit-identically,
-      // so the re-run is skipped.)
-      arms[s].result = run_prefix(s, cap[s]);
-      AddWork(arms[s].result, out);
-      exits = exit_quality(s, arms[s].result);
-    }
     arms[s].rankable = true;
-    if (exits) {
+    if (exit_quality(s, arms[s].result)) {
       exit_arm = s;
     }
   }
@@ -204,7 +154,7 @@ MultiStartResult RaceSolve(const Problem& problem, const std::vector<StartPoint>
     for (size_t s = 0; s < n; ++s) {
       if (IsScout(starts[s].kind)) {
         scouts.push_back(s);
-        static_equivalent += cap[s];
+        tier_budget += cap[s];
       }
     }
     if (!scouts.empty() && deadline_passed()) {
@@ -291,9 +241,9 @@ MultiStartResult RaceSolve(const Problem& problem, const std::vector<StartPoint>
           }
           break;
         }
-        if (out.evaluations + cap[challenger] > static_equivalent) {
-          // Total-budget guard: racing never spends more than the static
-          // tiers would have. Remaining arms stop at their probes.
+        if (out.evaluations + cap[challenger] > tier_budget) {
+          // Total-budget guard: racing never spends more than running every
+          // arm to its tier cap would. Remaining arms stop at their probes.
           for (size_t s : scouts) {
             if (!arms[s].rankable && !arms[s].pruned && !arms[s].deadline_skipped) {
               arms[s].pruned = true;
@@ -311,14 +261,12 @@ MultiStartResult RaceSolve(const Problem& problem, const std::vector<StartPoint>
       }
     }
   }
-  // (On an early exit, scouts never run -- the same cancellation the static
-  // driver's serial schedule produces -- and the saved-evaluations ledger
-  // compares against the static tiers for the arms that would have run.)
+  // (On an early exit, scouts never run, and the saved-evaluations ledger
+  // compares against the tier caps of the arms that would have run.)
 
-  // --- Ranking: the static rule over final results. With an early exit at
-  // anchor e, only arms 0..e are candidates (all of them ran, serially).
+  // --- Ranking over final results. With an early exit at anchor e, only
+  // arms 0..e are candidates (all of them ran, serially).
   out.early_exit = exit_arm < n;
-  out.deadline_hit = false;
   const size_t rank_limit = out.early_exit ? exit_arm : n - 1;
   size_t winner = n;
   for (size_t s = 0; s < n; ++s) {
@@ -340,14 +288,13 @@ MultiStartResult RaceSolve(const Problem& problem, const std::vector<StartPoint>
     }
   }
   out.race.evaluations_spent = static_cast<uint64_t>(std::max<int64_t>(0, out.evaluations));
-  if (static_equivalent > out.evaluations) {
-    out.race.evaluations_saved = static_cast<uint64_t>(static_equivalent - out.evaluations);
+  if (tier_budget > out.evaluations) {
+    out.race.evaluations_saved = static_cast<uint64_t>(tier_budget - out.evaluations);
   }
   if (winner == n) {
     return out;  // deadline hit before any anchor ran; degradation ladder
   }
   out.winner_start = winner;
-  out.winner_alternate = false;
   out.winner_kind = starts[winner].kind;
   out.best = arms[winner].result;
   return out;
@@ -392,137 +339,7 @@ MultiStartResult MultiStartSolve(const Problem& problem, std::vector<StartPoint>
     problem.ClipToBounds(start.x);
   }
 
-  if (config.racing && !config.use_alternate) {
-    return RaceSolve(problem, starts, config);
-  }
-
-  const size_t solvers = config.use_alternate ? 2 : 1;
-  const size_t tasks = starts.size() * solvers;
-  struct TaskSlot {
-    OptimResult result;
-    bool launched = false;
-    bool deadline_skipped = false;
-    bool exit_quality = false;
-  };
-  std::vector<TaskSlot> slots(tasks);
-  std::atomic<size_t> first_exit{tasks};
-  std::atomic<bool> deadline_hit{false};
-  const MultiStartConfig scout = ScoutBudget(config);
-  // Non-scout secondary starts (e.g. the deployed allocation behind a
-  // warm-start cache hit) run on a scout-sized budget with a higher floor:
-  // they sit near the optimum already, so a short confirmation run is enough
-  // -- the primary start owns the full budget.
-  MultiStartConfig secondary = config;
-  secondary.cobyla.max_evaluations = std::max(300, config.cobyla.max_evaluations / 4);
-  secondary.nelder_mead.max_iterations =
-      std::max<size_t>(75, config.nelder_mead.max_iterations / 4);
-
-  ParallelFor(
-      tasks,
-      [&](size_t t) {
-        if (config.early_exit && first_exit.load(std::memory_order_acquire) < t) {
-          return;  // cancelled: a lower-indexed task already finished well
-        }
-        if (config.deadline_enabled &&
-            std::chrono::steady_clock::now() >= config.deadline) {
-          deadline_hit.store(true, std::memory_order_relaxed);
-          slots[t].deadline_skipped = true;
-          return;  // skipped: the solve's wall-clock budget is spent
-        }
-        const size_t s = t / solvers;
-        const bool alternate = (t % solvers) == 1;
-        TaskSlot& slot = slots[t];
-        // Budget tiers: the primary start (index 0, the best warm start
-        // available) gets the full budget; other non-scout starts get half;
-        // heuristic and jittered starts are scouts. Secondary starts exist
-        // to catch basin changes, and a truncated solve is enough to reveal
-        // one -- if it ranks best, the polish stage and the next cycle's
-        // warm start finish the job.
-        const MultiStartConfig& task_config =
-            IsScout(starts[s].kind) ? scout : (s == 0 ? config : secondary);
-        const double task_start_us = config.trace.WallNowUs();
-        slot.result = SolveOneTask(problem, starts[s].x, alternate, task_config);
-        slot.launched = true;
-        if (config.trace.on()) {
-          std::string label = StartKindName(starts[s].kind);
-          label += '#';
-          label += std::to_string(s);
-          if (alternate) {
-            label += "+alt";
-          }
-          config.trace.WallSpanSince(kSolverTidBase + static_cast<uint32_t>(t), label,
-                                     "solver", task_start_us);
-        }
-        // Only incumbent-derived (non-scout) starts can declare stability:
-        // a scout failing to improve on its own arbitrary start point says
-        // nothing about the incumbent.
-        bool exit_quality = config.early_exit && !IsScout(starts[s].kind) &&
-                            slot.result.max_violation <= config.feasibility_tolerance;
-        if (exit_quality) {
-          // Stability bar: exit only when the start was feasible and already
-          // near the optimum, i.e. the landscape has not moved since the
-          // start was produced. Convergence is deliberately not required --
-          // on large problems the solver runs into its evaluation cap long
-          // before formal convergence, but a capped solve that could not beat
-          // the bar from a feasible start confirms the incumbent all the
-          // same. Pure function of the task, so deterministic.
-          const double start_value = problem.Objective(starts[s].x);
-          slot.result.evaluations += 1;
-          exit_quality =
-              problem.MaxViolation(starts[s].x) <= config.feasibility_tolerance &&
-              start_value - slot.result.value <=
-                  config.early_exit_improvement * (1.0 + std::abs(start_value));
-        }
-        slot.exit_quality = exit_quality;
-        if (config.early_exit && slot.exit_quality) {
-          size_t current = first_exit.load(std::memory_order_relaxed);
-          while (t < current &&
-                 !first_exit.compare_exchange_weak(current, t, std::memory_order_acq_rel)) {
-          }
-        }
-      },
-      config.max_parallelism);
-
-  out.starts_total = tasks;
-  out.deadline_hit = deadline_hit.load(std::memory_order_relaxed);
-  size_t winner = tasks;
-  const size_t exit_task = first_exit.load(std::memory_order_acquire);
-  out.early_exit = config.early_exit && exit_task < tasks;
-  // With an early exit at index e, rank only tasks 0..e: those always run
-  // (cancellation needs a lower exit-quality index, contradicting e's
-  // minimality), so the candidate set -- and hence the winner -- is the same
-  // under any schedule. Tasks above e may or may not have started before the
-  // cancellation landed; their results are schedule-dependent and excluded.
-  const size_t rank_limit = out.early_exit ? exit_task : tasks - 1;
-  for (size_t t = 0; t < tasks; ++t) {
-    const TaskSlot& slot = slots[t];
-    if (!slot.launched) {
-      if (slot.deadline_skipped) {
-        ++out.starts_deadline_skipped;
-      } else {
-        ++out.starts_cancelled;
-      }
-      continue;
-    }
-    ++out.starts_launched;
-    AddWork(slot.result, out);
-    if (t <= rank_limit &&
-        (winner == tasks ||
-         RanksBetter(slot.result, slots[winner].result, config.feasibility_tolerance))) {
-      winner = t;
-    }
-  }
-  if (winner == tasks) {
-    // Every rankable task was skipped (deadline before any task started):
-    // return an empty best (x stays empty); the caller's degradation ladder
-    // takes over.
-    return out;
-  }
-  out.winner_start = winner / solvers;
-  out.winner_alternate = (winner % solvers) == 1;
-  out.winner_kind = starts[out.winner_start].kind;
-  out.best = slots[winner].result;
-  return out;
+  return RaceSolve(problem, starts, config);
 }
 
 }  // namespace faro

@@ -13,7 +13,6 @@
 #include "src/optim/de.h"
 #include "src/optim/linalg.h"
 #include "src/optim/multistart.h"
-#include "src/optim/neldermead.h"
 #include "src/optim/problem.h"
 
 namespace faro {
@@ -508,28 +507,6 @@ TEST(AugLagTest, BoundsEnforced) {
   EXPECT_NEAR(result.x[0], 2.5, 1e-3);
 }
 
-// --- Nelder-Mead ----------------------------------------------------------
-
-TEST(NelderMeadTest, SolvesRosenbrock) {
-  Problem p(2, [](std::span<const double> x) {
-    const double a = x[1] - x[0] * x[0];
-    const double b = 1.0 - x[0];
-    return 100.0 * a * a + b * b;
-  });
-  NelderMeadConfig config;
-  config.max_iterations = 5000;
-  const auto result = NelderMead(p, std::vector<double>{-1.2, 1.0}, config);
-  EXPECT_LT(result.value, 1e-6);
-}
-
-TEST(NelderMeadTest, PenaltyKeepsConstraint) {
-  Problem p(2, [](std::span<const double> x) { return x[0] * x[1]; });
-  p.AddConstraint([](std::span<const double> x) { return 1.0 - x[0] * x[0] - x[1] * x[1]; });
-  const auto result = NelderMead(p, std::vector<double>{0.5, 0.5});
-  EXPECT_NEAR(result.value, -0.5, 5e-2);
-  EXPECT_LE(result.max_violation, 1e-2);
-}
-
 // --- Cross-solver property: all solvers agree on a smooth convex problem ---
 
 class SolverAgreementTest : public ::testing::TestWithParam<int> {};
@@ -555,12 +532,8 @@ TEST_P(SolverAgreementTest, ConvexQuadraticWithConstraint) {
       result = DifferentialEvolution(p);
       break;
     }
-    case 2: {
-      result = AugmentedLagrangian(p, x0);
-      break;
-    }
     default: {
-      result = NelderMead(p, x0);
+      result = AugmentedLagrangian(p, x0);
       break;
     }
   }
@@ -568,10 +541,12 @@ TEST_P(SolverAgreementTest, ConvexQuadraticWithConstraint) {
   EXPECT_LE(result.max_violation, 1e-2);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSolvers, SolverAgreementTest, ::testing::Values(0, 1, 2, 3));
+INSTANTIATE_TEST_SUITE_P(AllSolvers, SolverAgreementTest, ::testing::Values(0, 1, 2));
 
 // The convex quadratic from SolverAgreementTest, reused by the multi-start
 // driver tests: optimum (2, 2), f = 2 on the constraint x0 + x1 <= 4.
+// RacingDeterminismTest (bai_test.cc) covers the single-round race at the
+// default probe; the tests here add the multi-round and serial cases.
 Problem MakeConstrainedQuadratic() {
   Problem p(2, [](std::span<const double> x) {
     return (x[0] - 3.0) * (x[0] - 3.0) + (x[1] - 3.0) * (x[1] - 3.0);
@@ -591,13 +566,15 @@ TEST(MultiStartTest, FindsConstrainedOptimum) {
   const MultiStartResult result = MultiStartSolve(p, starts, 2, config);
   EXPECT_NEAR(result.best.value, 2.0, 0.05);
   EXPECT_LE(result.best.max_violation, 1e-2);
-  EXPECT_EQ(result.starts_total, 8u);  // 4 starts x 2 solvers
+  EXPECT_EQ(result.starts_total, 4u);  // 2 starts + 2 jittered
   EXPECT_EQ(result.starts_launched + result.starts_cancelled + result.starts_deadline_skipped,
             result.starts_total);
   EXPECT_GT(result.evaluations, 0);
 }
 
 TEST(MultiStartTest, BitIdenticalAcrossParallelism) {
+  // A 16-evaluation probe truncates every scout, so the race runs extension
+  // rounds; the winner must still not depend on how many workers raced it.
   for (const bool early_exit : {true, false}) {
     std::vector<MultiStartResult> results;
     for (const size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
@@ -606,15 +583,20 @@ TEST(MultiStartTest, BitIdenticalAcrossParallelism) {
       config.seed = 3;
       config.early_exit = early_exit;
       config.max_parallelism = parallelism;
+      config.racing_probe_evals = 16;
       std::vector<StartPoint> starts;
       starts.push_back({{1.0, 1.0}, StartKind::kWarmCurrent});
       starts.push_back({{8.0, 8.0}, StartKind::kHeuristic});
       results.push_back(MultiStartSolve(p, starts, 4, config));
     }
+    if (!early_exit) {
+      EXPECT_GT(results[0].race.rounds, 1u);
+    }
     for (size_t k = 1; k < results.size(); ++k) {
       EXPECT_EQ(results[0].winner_start, results[k].winner_start);
-      EXPECT_EQ(results[0].winner_alternate, results[k].winner_alternate);
       EXPECT_EQ(results[0].early_exit, results[k].early_exit);
+      EXPECT_EQ(results[0].evaluations, results[k].evaluations);
+      EXPECT_EQ(results[0].race.rounds, results[k].race.rounds);
       ASSERT_EQ(results[0].best.x.size(), results[k].best.x.size());
       for (size_t d = 0; d < results[0].best.x.size(); ++d) {
         EXPECT_EQ(results[0].best.x[d], results[k].best.x[d])
@@ -628,7 +610,7 @@ TEST(MultiStartTest, BitIdenticalAcrossParallelism) {
 TEST(MultiStartTest, SerialEarlyExitSkipsTailFromNearOptimalStart) {
   // Start 0 sits on the constrained optimum already: the solve converges
   // feasibly with ~no improvement, clearing the stability bar, so a serial
-  // run must skip every later task and report the start-0 winner.
+  // run must skip every later start and report the start-0 winner.
   const Problem p = MakeConstrainedQuadratic();
   MultiStartConfig config;
   config.seed = 5;
@@ -638,14 +620,13 @@ TEST(MultiStartTest, SerialEarlyExitSkipsTailFromNearOptimalStart) {
   const MultiStartResult result = MultiStartSolve(p, starts, 5, config);
   EXPECT_TRUE(result.early_exit);
   EXPECT_EQ(result.winner_start, 0u);
-  EXPECT_FALSE(result.winner_alternate);
   EXPECT_EQ(result.starts_launched, 1u);
   EXPECT_EQ(result.starts_cancelled, result.starts_total - 1);
 }
 
 TEST(MultiStartTest, StabilityBarBlocksEarlyExitFromFarStart) {
   // Start 0 is feasible but far from the optimum: the solve improves a lot,
-  // failing the stability bar, so every task runs and the best one wins.
+  // failing the stability bar, so every scout is raced and the best one wins.
   const Problem p = MakeConstrainedQuadratic();
   MultiStartConfig config;
   config.seed = 5;
@@ -671,18 +652,6 @@ TEST(MultiStartTest, StartsAreClippedIntoBounds) {
   const MultiStartResult result = MultiStartSolve(p, starts, 0, config);
   EXPECT_NEAR(result.best.value, 2.0, 0.1);
   EXPECT_LE(result.best.max_violation, 1e-2);
-}
-
-TEST(MultiStartTest, AlternateChainDisabledHalvesTasks) {
-  const Problem p = MakeConstrainedQuadratic();
-  MultiStartConfig config;
-  config.seed = 2;
-  config.use_alternate = false;
-  std::vector<StartPoint> starts;
-  starts.push_back({{1.0, 1.0}, StartKind::kWarmCurrent});
-  const MultiStartResult result = MultiStartSolve(p, starts, 3, config);
-  EXPECT_EQ(result.starts_total, 4u);
-  EXPECT_NEAR(result.best.value, 2.0, 0.05);
 }
 
 }  // namespace

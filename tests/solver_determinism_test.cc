@@ -142,14 +142,6 @@ TEST(SolverDeterminismTest, EarlyExitToggleDoesNotBreakDeterminism) {
   CheckAcrossParallelism(config, /*num_jobs=*/10, /*capacity=*/36.0, "no-early-exit");
 }
 
-TEST(SolverDeterminismTest, LegacySerialPathUnchangedByParallelismKnob) {
-  // The <=1-start legacy path never fans out; the knob must be inert.
-  FaroConfig config;
-  config.multistart_starts = 1;
-  config.warm_start_cache = false;
-  CheckAcrossParallelism(config, /*num_jobs=*/6, /*capacity=*/20.0, "legacy");
-}
-
 TEST(SolverDeterminismTest, SameSeedSameActionsDifferentSeedUsuallyDiffers) {
   FaroConfig config;
   const std::vector<ScalingAction> a = RunCycles(config, 10, 36.0, 3);
