@@ -1,10 +1,10 @@
 // Table 9 (extension): hyperscale engine throughput. The paper stops at 100
 // jobs / 320 replicas (Table 8); ROADMAP's north star is the claimed
-// deployment scale of thousands of jobs. This bench drives the sharded event
-// engine with a synthetic diurnal fleet -- 5000 jobs, >100k provisioned
-// replicas, ~10^8 requests per simulated day under AIAD -- and reports
-// wall-clock, event throughput, and peak memory alongside the quality
-// metrics, so engine regressions show up as numbers rather than vibes.
+// deployment scale of thousands of jobs. This bench drives the event engine
+// with a synthetic diurnal fleet -- 5000 jobs, >100k provisioned replicas,
+// ~10^8 requests per simulated day under AIAD -- and reports wall-clock,
+// event throughput, and peak memory alongside the quality metrics, so engine
+// regressions show up as numbers rather than vibes.
 //
 // The workload is synthesized directly (no trace files, no predictor
 // training): per-job sinusoidal diurnal rates with deterministic per-job
@@ -12,15 +12,11 @@
 // bench measures the *engine*, not the solver.
 //
 // FARO_BENCH_FAST=1 shrinks to 500 jobs x 4 simulated hours (the CI
-// perf-smoke shape) and adds a classic-engine cross-check. --bench-json
-// writes BENCH_tab09_hyperscale.json.
+// perf-smoke shape). --bench-json writes BENCH_tab09_hyperscale.json.
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -78,8 +74,7 @@ struct BenchRun {
   double replicas_avg = 0.0;
 };
 
-BenchRun RunFleet(const std::vector<SimJobConfig>& jobs, SimEngine engine,
-                  size_t shard_threads = 0) {
+BenchRun RunFleet(const std::vector<SimJobConfig>& jobs) {
   SimConfig config;
   double total_initial = 0.0;
   for (const SimJobConfig& job : jobs) {
@@ -88,8 +83,6 @@ BenchRun RunFleet(const std::vector<SimJobConfig>& jobs, SimEngine engine,
   config.resources = ClusterResources{1.25 * total_initial, 1.25 * total_initial};
   config.processing_jitter = 0.05;
   config.cold_start_jitter_s = 10.0;
-  config.engine = engine;
-  config.shard_threads = shard_threads;
   config.record_minute_series = false;  // flat memory at fleet scale
   config.seed = 20250808;
 
@@ -106,14 +99,13 @@ BenchRun RunFleet(const std::vector<SimJobConfig>& jobs, SimEngine engine,
   return run;
 }
 
-void PrintRun(const char* label, const BenchRun& run, size_t num_jobs) {
+void PrintRun(const BenchRun& run) {
   const double events_per_sec =
       run.wall_s > 0.0 ? static_cast<double>(run.result.events_processed) / run.wall_s
                        : 0.0;
-  std::printf("%-18s %8.2f s   %11llu events  %8.2f M ev/s  %9llu req  "
+  std::printf("%8.2f s   %11llu events  %8.2f M ev/s  %9llu req  "
               "%8.0f avg / %8.0f peak replicas   lost utility %.3f\n",
-              label, run.wall_s,
-              static_cast<unsigned long long>(run.result.events_processed),
+              run.wall_s, static_cast<unsigned long long>(run.result.events_processed),
               events_per_sec / 1e6, static_cast<unsigned long long>(run.requests),
               run.replicas_avg, run.result.cluster_peak_replicas,
               run.result.cluster_lost_utility);
@@ -127,90 +119,22 @@ int main(int argc, char** argv) {
   const bool fast = faro::FastBench();
   const size_t num_jobs = fast ? 500 : 5000;
   const size_t minutes = fast ? 240 : 1440;  // 4 hours vs one full day
-  // --threads=1,2,4 runs the sharded engine once per worker count and
-  // records wall-ms + speedup vs the single-thread run (ROADMAP item 1's
-  // multi-core measurement). Defaults to 1,2,4 in fast mode; results are
-  // bit-identical across counts by the engine's merge-barrier contract, so
-  // only wall time varies.
-  std::vector<size_t> thread_sweep = fast ? std::vector<size_t>{1, 2, 4}
-                                          : std::vector<size_t>{};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      thread_sweep.clear();
-      const char* p = argv[i] + 10;
-      while (*p != '\0') {
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(p, &end, 10);
-        if (end == p) {
-          break;
-        }
-        if (v > 0) {
-          thread_sweep.push_back(static_cast<size_t>(v));
-        }
-        p = *end == ',' ? end + 1 : end;
-      }
-    }
-  }
-  faro::PrintHeader("Table 9: hyperscale engine throughput (sharded event engine)");
+  faro::PrintHeader("Table 9: hyperscale engine throughput");
   std::printf("%zu jobs, %zu simulated minutes, AIAD, record_minute_series=off\n\n",
               num_jobs, minutes);
 
   const std::vector<faro::SimJobConfig> jobs = faro::BuildFleet(num_jobs, minutes);
-  const faro::BenchRun sharded = faro::RunFleet(jobs, faro::SimEngine::kSharded);
-  faro::PrintRun("sharded", sharded, num_jobs);
+  const faro::BenchRun run = faro::RunFleet(jobs);
+  faro::PrintRun(run);
 
   faro::BenchJson& json = obs.json();
   json.Set("jobs", static_cast<double>(num_jobs));
   json.Set("sim_minutes", static_cast<double>(minutes));
-  json.Set("sharded_wall_s", sharded.wall_s);
-  json.Set("events", static_cast<double>(sharded.result.events_processed));
-  json.Set("events_per_sec",
-           sharded.wall_s > 0.0
-               ? static_cast<double>(sharded.result.events_processed) / sharded.wall_s
-               : 0.0);
-  json.Set("requests", static_cast<double>(sharded.requests));
-  json.Set("replicas_avg", sharded.replicas_avg);
-  json.Set("replicas_peak", sharded.result.cluster_peak_replicas);
-  json.Set("lost_utility", sharded.result.cluster_lost_utility);
-  json.Set("violation_rate", sharded.result.cluster_slo_violation_rate);
-
-  if (!thread_sweep.empty()) {
-    // Shard-worker scaling: same fleet, same (bit-identical) results, only
-    // the worker count varies. On a single-CPU container the speedup column
-    // documents the overhead floor rather than a win; on wide machines it is
-    // the multi-core headline.
-    std::printf("\n-- shard-thread sweep --\n");
-    double base_wall_s = 0.0;
-    for (const size_t threads : thread_sweep) {
-      const faro::BenchRun run =
-          faro::RunFleet(jobs, faro::SimEngine::kSharded, threads);
-      if (base_wall_s == 0.0) {
-        base_wall_s = run.wall_s;
-      }
-      const double speedup = run.wall_s > 0.0 ? base_wall_s / run.wall_s : 0.0;
-      std::printf("threads=%-3zu %8.2f s   %8.0f ms   speedup %.2fx   lost utility %.3f\n",
-                  threads, run.wall_s, 1000.0 * run.wall_s, speedup,
-                  run.result.cluster_lost_utility);
-      const std::string prefix = "threads" + std::to_string(threads);
-      json.Set(prefix + "_wall_ms", 1000.0 * run.wall_s);
-      json.Set(prefix + "_speedup", speedup);
-    }
-  }
-
-  if (fast) {
-    // Cross-check: the classic single-stream engine on the same fleet. A
-    // different (equally valid) sample path -- per-job vs shared RNG -- so
-    // quality metrics are close but not identical; throughput shows the
-    // sharding win even at this small scale.
-    const faro::BenchRun classic = faro::RunFleet(jobs, faro::SimEngine::kClassic);
-    faro::PrintRun("classic", classic, num_jobs);
-    json.Set("classic_wall_s", classic.wall_s);
-    json.Set("classic_lost_utility", classic.result.cluster_lost_utility);
-    if (classic.wall_s > 0.0 && sharded.wall_s > 0.0) {
-      std::printf("\nsharded speedup over classic: %.2fx\n",
-                  classic.wall_s / sharded.wall_s);
-      json.Set("sharded_speedup", classic.wall_s / sharded.wall_s);
-    }
-  }
+  json.Set("events", static_cast<double>(run.result.events_processed));
+  json.Set("requests", static_cast<double>(run.requests));
+  json.Set("replicas_avg", run.replicas_avg);
+  json.Set("replicas_peak", run.result.cluster_peak_replicas);
+  json.Set("lost_utility", run.result.cluster_lost_utility);
+  json.Set("violation_rate", run.result.cluster_slo_violation_rate);
   return 0;
 }

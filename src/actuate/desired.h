@@ -22,7 +22,7 @@ struct DesiredState {
   // Sim time (virtual-time mode) or relative wall seconds (live mode) at
   // which the state was published; time-to-converge is measured from here.
   double published_s = 0.0;
-  // Absolute per-job replica targets, already clamped to >= 1 (the engines'
+  // Absolute per-job replica targets, already clamped to >= 1 (the engine's
   // historical floor -- a job never scales to zero replicas).
   std::vector<uint32_t> replicas;
   // Optional per-job drop rates (empty = leave router drop rates untouched).

@@ -72,7 +72,7 @@ uint32_t Reconciler::Reconcile(ClusterPort& port, double now_s,
 
   if (!first_pass_done_) {
     // First pass: the port's full actuation semantics, in job order (the
-    // engines' historical apply order -- load-bearing for bit-identity).
+    // engine's historical apply order -- load-bearing for bit-identity).
     ++telemetry_.reconcile_passes;
     for (size_t j = 0; j < n; ++j) {
       ops += port.ApplyTarget(j, desired_.replicas[j], /*first_pass=*/true, now_s);

@@ -5,11 +5,11 @@
 // through the ClusterPort interface. It is deliberately free of threads,
 // clocks, and RNG streams so the same core drives both actuation modes:
 //
-//  - virtual-time mode: the simulation engines call Reconcile() at control
+//  - virtual-time mode: the simulation engine calls Reconcile() at control
 //    boundaries (decision and reactive ticks), with sim time as `now_s`.
 //    Every decision the reconciler makes is a pure function of (config,
 //    published states, port observations, call times), so runs stay
-//    bit-identical at any shard/thread count;
+//    bit-identical at any thread count;
 //  - live mode: a dedicated actuator thread (src/actuate/async_actuator.h)
 //    calls the same core against a mutable cluster model under a mutex,
 //    racing the replay thread that publishes.
@@ -18,7 +18,8 @@
 // port's full actuation semantics (scale-ups with fault draws, scale-downs,
 // drop rates). Later passes are level-triggered repair: any job whose
 // committed fleet sits below its target -- because an actuation fault ate the
-// scale-up, or a replica was killed after convergence -- is re-issued the
+// scale-up, a replica was killed after convergence, or replicas that were
+// draining when the target was set have since exited -- is re-issued the
 // missing delta, gated by per-job exponential backoff with deterministic
 // jitter. Scale-downs are one-shot per generation: draining replicas remain
 // visible in the fleet until they finish, so re-issuing a downscale would
@@ -70,9 +71,9 @@ struct ReconcileTelemetry {
   double convergence_s_max = 0.0;      // worst single generation
 };
 
-// What the reconciler needs from a cluster. Implementations: the engines'
-// in-step adapters (simulator.cc, engine_sharded.cc) and the live
-// LiveClusterModel (async_actuator.h).
+// What the reconciler needs from a cluster. Implementations: the simulation
+// engine itself (simulator.cc) and the live LiveClusterModel
+// (async_actuator.h).
 class ClusterPort {
  public:
   virtual ~ClusterPort() = default;

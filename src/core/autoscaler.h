@@ -106,32 +106,10 @@ struct FaroConfig {
   // solve confirms the incumbent -- while load shifts still race the full
   // portfolio and get best-of selection.
   bool multistart_early_exit = true;
-  // Stability bar for the early exit: an incumbent solve that improves on its
-  // start by at most this relative fraction confirms the incumbent and skips
-  // the rest of the portfolio. Deliberately the same magnitude as
-  // `switch_margin`: an improvement too small to adopt is too small to chase.
-  double multistart_exit_improvement = 0.05;
-  // Relative amplitude of the jittered start variants.
-  double multistart_jitter = 0.35;
   // Thread cap for the solve fan-out (starts and hierarchical groups):
   // 0 = shared pool size, 1 = serial. Solutions are bit-identical at every
   // setting for a fixed seed.
   size_t solve_parallelism = 0;
-  // --- BAI racing (adaptive budget allocation; see src/optim/bai.h) --------
-  // Probe budget per scout arm; 0 = auto (max(64, 2*dim + 24)). Scouts whose
-  // optimistic value could still beat the leader extend to their tier cap.
-  int racing_probe_evals = 0;
-  // Confirmation budget for the primary start; 0 runs the full tier up
-  // front (no confirmation shortcut). The default caps the incumbent at 400
-  // evaluations: COBYLA's late tail polishes fractional digits the integer
-  // exchange polish repairs anyway, and on the 40-job tab08 shape this cuts
-  // per-cycle evaluations ~1.5x while holding lost utility within 4e-3 of
-  // running every start to its tier cap. When the confirmation misses the
-  // stability bar, the truncated incumbent still anchors the race; the scout
-  // arms cover basin changes.
-  int racing_confirm_evals = 400;
-  // Stopping-rule confidence for pruning scout arms.
-  double racing_delta = 0.05;
 
   // --- Degradation ladder (robustness under faults) ------------------------
   // Wall-clock budget for one Stage-2 solve; 0 disables (the default). On a

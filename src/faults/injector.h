@@ -9,12 +9,9 @@
 //   - DrawActuation(): what happens to this scale-up command?
 // Every method short-circuits without touching the RNG when its knob is off,
 // which is what keeps no-fault runs bit-identical to a build without faults.
-//
-// Shard-safety (SimEngine::kSharded): the sharded engine calls the injector
-// only from its coordinator thread, at control boundaries, in job order --
-// never from a shard worker -- so the single stream stays deterministic at
-// any shard count and an inactive plan draws nothing on any shard
-// (tests/sharded_determinism_test.cc).
+// The engine calls it from the one thread driving the run, so the stream
+// needs no locking (DeterminismTest.InactivePlanLeavesRunsUntouched pins the
+// zero-draw property of an inactive plan).
 
 #ifndef SRC_FAULTS_INJECTOR_H_
 #define SRC_FAULTS_INJECTOR_H_

@@ -8,7 +8,7 @@
 // window alerting at burn >= 6 (budget gone in ~5 days), the multi-window
 // thresholds from the SRE workbook. All clocks are *simulated* time, so every
 // number the ledger produces is deterministic and bit-identical across
-// thread/shard counts.
+// thread counts.
 //
 // AuditLog collects one DecisionAuditRecord per autoscaler decision cycle
 // (forecast in, solver outcome, degradation-ladder rung, telemetry deltas)
@@ -134,7 +134,7 @@ struct DecisionAuditRecord {
   double replicas_total = 0.0;     // summed decided replica targets
   double drop_rate_mean = 0.0;     // mean decided drop rate
   // --- reconciling actuator (src/actuate/) ---------------------------------
-  // Filled by the engines' actuation records (label suffix "/actuate", one
+  // Filled by the engine's actuation records (label suffix "/actuate", one
   // per converged generation); zero/defaulted on plain decision records.
   uint64_t actuation_generation = 0;   // generation that converged
   double actuation_convergence_s = -1.0;  // publish-to-converge (sim seconds)

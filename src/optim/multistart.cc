@@ -216,8 +216,8 @@ MultiStartResult RaceSolve(const Problem& problem, const std::vector<StartPoint>
           if (arms[s].rankable || arms[s].pruned || arms[s].deadline_skipped) {
             continue;
           }
-          const double optimistic = merit(arms[s].result) -
-                                    config.racing_extend_factor * probe_gain[s] -
+          // The predicted extension gain is the arm's observed probe gain.
+          const double optimistic = merit(arms[s].result) - probe_gain[s] -
                                     (std::isfinite(radius) ? radius : probe_gain[s]);
           if (leader != n && optimistic > merit(arms[leader].result)) {
             // Even an optimistic extension cannot beat the leader: stop.

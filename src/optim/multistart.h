@@ -115,8 +115,6 @@ struct MultiStartConfig {
   int racing_confirm_evals = 0;
   // Confidence for the stopping rule's radius over observed extension gains.
   double racing_delta = 0.05;
-  // Predicted extension gain = factor x the arm's observed probe improvement.
-  double racing_extend_factor = 1.0;
   // Observability: each solve records a wall-clock span (one trace track per
   // start index) into this session. Measurement only; spans are excluded
   // from the determinism contract.

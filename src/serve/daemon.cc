@@ -316,7 +316,7 @@ RunResult ReplayDaemon::Run() {
     // At-least-once wind-down: re-send the final generation. The actuator's
     // fence must discard the duplicate (fence_rejections >= 1 after every
     // completed run with at least one decision) -- the live analogue of the
-    // engines' stale-delayed-scale-up fencing.
+    // engine's stale-delayed-scale-up fencing.
     if (last_desired_.generation > 0) {
       actuator_->Publish(last_desired_);
     }

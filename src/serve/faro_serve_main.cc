@@ -11,14 +11,14 @@
 // Usage:
 //   faro_serve [--scenario=node-crash] [--minutes=240] [--speed=1000]
 //              [--port=9100] [--seed=5150] [--policy=Faro-FairSum]
-//              [--trace-file=traces.csv] [--engine=classic|sharded]
+//              [--trace-file=traces.csv]
 //              [--train] [--batch] [--linger] [--live-actuator]
 //              [--summary-out=..] [--metrics-out=..] [--audit-out=..]
 //              [--alerts-out=..]
 //
 //   --scenario   chaos plan (node-crash | rolling-drain | replica-burst |
 //                flaky-api | none). Node scenarios add the 8-node placement
-//                model from the Fig. 17 bench (classic engine only).
+//                model from the Fig. 17 bench.
 //   --minutes    truncate every trace to this many sim-minutes (0 = full)
 //   --speed      sim seconds per wall second, 1..10000 (POST /speed adjusts)
 //   --train      train the N-HiTS predictor first (seconds of startup);
@@ -57,7 +57,6 @@ struct Flags {
   std::string scenario = "none";
   std::string policy = "Faro-FairSum";
   std::string trace_file;
-  std::string engine = "classic";
   size_t minutes = 0;
   double speed = 60.0;
   int port = 0;
@@ -85,8 +84,6 @@ bool ParseFlags(int argc, char** argv, Flags& flags) {
       flags.policy = v;
     } else if (const char* v = value("--trace-file=")) {
       flags.trace_file = v;
-    } else if (const char* v = value("--engine=")) {
-      flags.engine = v;
     } else if (const char* v = value("--minutes=")) {
       flags.minutes = static_cast<size_t>(std::strtoul(v, nullptr, 10));
     } else if (const char* v = value("--speed=")) {
@@ -128,12 +125,6 @@ int Main(int argc, char** argv) {
   ExperimentSetup setup;
   setup.capacity = 32.0;
   setup.seed = flags.seed;
-  if (flags.engine == "sharded") {
-    setup.engine = SimEngine::kSharded;
-  } else if (flags.engine != "classic") {
-    std::fprintf(stderr, "faro_serve: --engine must be classic or sharded\n");
-    return 2;
-  }
   // The live daemon always feeds the metrics registry (that is the point of
   // /metrics); --metrics-out additionally flushes a final exposition file.
   setup.obs.metrics = true;
@@ -142,11 +133,6 @@ int Main(int argc, char** argv) {
   std::vector<std::string> node_names;
   const bool chaos = flags.scenario != "none" && !flags.scenario.empty();
   if (chaos) {
-    if (setup.engine == SimEngine::kSharded) {
-      std::fprintf(stderr,
-                   "faro_serve: node-fault scenarios need the classic engine\n");
-      return 2;
-    }
     // Fig. 17 cluster shape: 8 four-replica nodes, spread placement.
     const size_t kNodes = 8;
     for (size_t n = 0; n < kNodes; ++n) {

@@ -59,6 +59,9 @@ struct RaceReport {
   std::string winner_policy;
 };
 
+// Unread vestige of the deleted second engine; see ExperimentSetup::engine.
+enum class SimEngine : uint8_t { kClassic };
+
 struct ExperimentSetup {
   size_t num_jobs = 10;
   double capacity = 32.0;  // total replicas (1 vCPU / 1 GB each)
@@ -95,12 +98,13 @@ struct ExperimentSetup {
   std::vector<Node> nodes;
   PlacementStrategy placement_strategy = PlacementStrategy::kSpread;
   FaultPlan faults;
-  // Event-engine selection, copied verbatim into SimConfig: classic vs
-  // sharded engine (sharded requires empty `nodes`), shard worker count,
-  // future-event-set implementation, and whether per-minute output series are
-  // recorded (hyperscale runs turn them off to keep memory flat).
+  // Unread: the simulator has one engine. Kept only because the benchmark
+  // program (perfbench/faro_perfbench.cc) still assigns it; the next change
+  // to the benchmark deletes that line, then this field and SimEngine.
   SimEngine engine = SimEngine::kClassic;
-  size_t shard_threads = 0;
+  // Copied verbatim into SimConfig: the future-event-set implementation, and
+  // whether per-minute output series are recorded (hyperscale runs turn them
+  // off to keep memory flat).
   SchedulerKind scheduler = SchedulerKind::kCalendar;
   bool record_minute_series = true;
   // Trial racing, defaulting from the process-wide --race / FARO_RACE switch

@@ -1,14 +1,7 @@
-// Internal shared state and per-job helpers for the simulation engines.
-//
-// Two engines consume this header: the classic single-stream engine in
-// simulator.cc (one event loop, one RNG, bit-compatible with every release
-// since PR 1) and the sharded engine in engine_sharded.cc (per-job RNG
-// streams, one event loop per shard, deterministic merge at control
-// barriers). Everything here is per-job and engine-agnostic: the router
-// queue over the SoA request pool, metric-window bookkeeping, overload
-// timers, and end-of-run stats finalisation. Keeping these in one place is
-// what guarantees the engines agree on the *semantics* of a job subcluster
-// even though they schedule events differently.
+// Internal per-job state and helpers of the simulation engine (simulator.cc:
+// one event loop, one RNG stream). Everything here is per-job arithmetic with
+// no RNG draws: the router queue over the SoA request pool, metric-window
+// bookkeeping, overload timers, and end-of-run stats finalisation.
 //
 // This header is private to src/sim/.
 
@@ -39,7 +32,7 @@ namespace sim_internal {
 
 inline constexpr double kInfLatency = std::numeric_limits<double>::infinity();
 
-// Per-job subcluster state. Engines own a vector of these, one per job.
+// Per-job subcluster state. The engine owns a vector of these, one per job.
 struct JobState {
   // --- replica pool -------------------------------------------------------
   uint32_t ready = 0;     // provisioned replicas (busy + idle)
@@ -93,8 +86,6 @@ struct JobState {
 
   // --- SLO ledger & causal attribution (src/obs/slo.h, attribution.h) ------
   // Evidence weights for the open metrics window; reset on every close.
-  // All of these are shard-local JobState fields, so the sharded engine's
-  // merge barriers keep them bit-identical at any thread count for free.
   double attr_wait_s = 0.0;        // queue wait of requests entering service
   double attr_cold_s = 0.0;        // cold-start delay incurred by provisions
   double attr_fault_s = 0.0;       // replica-seconds of fault-induced deficit
@@ -133,7 +124,7 @@ inline uint64_t LadderDegradations(const SolverTelemetry& t) {
 }
 
 // Sorted-copy percentile without allocating per call: `scratch` is reused
-// across invocations by the owning engine (one per shard in sharded mode).
+// across invocations by the engine.
 inline double ScratchPercentile(std::vector<double>& scratch,
                                 const std::vector<double>& values, double q) {
   scratch.assign(values.begin(), values.end());
@@ -143,8 +134,8 @@ inline double ScratchPercentile(std::vector<double>& scratch,
 
 // Closes one metrics window for one job: arrival-rate history, p99, utility,
 // effective utility, replica gauge, SLO-ledger fold, lost-utility attribution;
-// resets the window accumulators. Pure per-job arithmetic -- no RNG -- so
-// both engines share it bit-exactly. `end_s` is the sim time of the close.
+// resets the window accumulators. Pure per-job arithmetic -- no RNG. `end_s`
+// is the sim time of the close.
 // When `snap` is non-null it is filled with the window's values (for
 // SimMinuteObserver delivery) before the accumulators reset; filling it
 // reads, never writes, the job state, so observed and unobserved runs are
@@ -296,9 +287,9 @@ inline void CollectJobMetrics(const JobState& js, const JobSpec& spec,
 
 // Finalises one job's run-level stats. With `record_series` the per-minute
 // vectors are moved into the result and the utility-reconvergence metric is
-// computed from them (exactly the pre-sharding code path); without, the
-// running sums provide the averages and the reconvergence metric is reported
-// as -1 ("not tracked") for fault-touched jobs.
+// computed from them; without, the running sums provide the averages and the
+// reconvergence metric is reported as -1 ("not tracked") for fault-touched
+// jobs.
 inline void FinalizeJobStats(JobState& js, const std::string& name,
                              bool record_series, JobRunStats& stats) {
   stats.name = name;

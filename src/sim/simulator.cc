@@ -16,12 +16,6 @@
 
 namespace faro {
 
-// Sharded engine entry point (engine_sharded.cc). Shares ValidateSimConfig
-// and all per-job semantics via sim_internal.h.
-std::unique_ptr<SimStepper> MakeSimStepperSharded(const SimConfig& config,
-                                                  const std::vector<SimJobConfig>& jobs,
-                                                  AutoscalingPolicy& policy);
-
 namespace {
 
 using sim_internal::CloseMetricsWindowCore;
@@ -31,7 +25,7 @@ using sim_internal::JobState;
 using sim_internal::kInfLatency;
 using sim_internal::UpdateOverloadTimerCore;
 
-// Classic engine: one event loop, one RNG stream shared by every job. The
+// The engine: one event loop, one RNG stream shared by every job. The
 // future-event set sits behind EventScheduler (calendar queue by default,
 // binary heap as reference -- both pop in the identical (time, sequence)
 // order, so the choice never changes results); per-request state lives in a
@@ -47,8 +41,8 @@ using sim_internal::UpdateOverloadTimerCore;
 // ClusterPort the reconciler converges. The first reconcile pass of a
 // generation executes the historical in-step apply bit-exactly (same job
 // order, same fault/cold-start draw order); repair passes run at reactive
-// ticks and are zero-draw no-ops while the fleet holds its targets, so
-// fault-free runs are unchanged to the bit.
+// ticks and are zero-draw no-ops while the fleet holds its targets (see
+// ActuationMode for when a fault-free fleet does not).
 class Simulation final : public SimStepper, private ClusterPort {
  public:
   Simulation(const SimConfig& config, const std::vector<SimJobConfig>& jobs,
@@ -1115,19 +1109,6 @@ std::string ValidateSimConfig(const SimConfig& config) {
   if (config.reactive_interval_s <= 0.0) {
     return "SimConfig: reactive_interval_s must be > 0";
   }
-  if (config.engine == SimEngine::kSharded) {
-    if (!config.nodes.empty()) {
-      return "SimConfig: the sharded engine has no node-placement model "
-             "(engine=kSharded requires empty nodes; use kClassic)";
-    }
-    for (const FaultEvent& event : config.faults.events) {
-      if (event.kind != FaultKind::kReplicaBurst) {
-        return "SimConfig: the sharded engine supports only kReplicaBurst "
-               "scheduled fault events (node crash/drain/recover need the "
-               "classic engine's node model)";
-      }
-    }
-  }
   for (const Node& node : config.nodes) {
     if (node.cpu_capacity <= 0.0 || node.mem_capacity <= 0.0) {
       return "SimConfig: node '" + node.name + "' needs positive cpu/mem capacity";
@@ -1171,9 +1152,6 @@ std::unique_ptr<SimStepper> MakeSimStepper(const SimConfig& config,
                                            AutoscalingPolicy& policy) {
   if (std::string problem = ValidateSimConfig(config); !problem.empty()) {
     throw std::invalid_argument(problem);
-  }
-  if (config.engine == SimEngine::kSharded) {
-    return MakeSimStepperSharded(config, jobs, policy);
   }
   auto simulation = std::make_unique<Simulation>(config, jobs, policy);
   simulation->Init();

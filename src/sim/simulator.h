@@ -50,36 +50,20 @@ namespace faro {
 //    cluster: generation fencing discards stale publishes, and level-
 //    triggered repair passes at reactive ticks re-issue scale-ups that an
 //    actuation fault ate or a replica kill re-opened, with per-job
-//    exponential backoff + deterministic jitter. Fault-free runs are
-//    bit-identical to kInStep (the first reconcile pass IS the historical
-//    in-step apply, and a converged generation makes every repair pass a
-//    zero-draw no-op).
+//    exponential backoff + deterministic jitter. The first reconcile pass IS
+//    the historical in-step apply, so a run is bit-identical to kInStep
+//    while no repair pass finds a deficit. Fault-free runs can still find
+//    one: policies count draining replicas (busy replicas an earlier
+//    downscale left to finish their request) as ready, so a later target
+//    includes them, and when they exit a repair pass provisions them again.
+//    That is why tab09 (AIAD, no faults) reads 21.813 lost utility here and
+//    23.061 under kInStep.
 //  - kInStep: the historical fire-and-forget path -- each decision is applied
 //    once, inside the engine step, and never repaired. Kept for A/B runs
 //    (bench_fig17_chaos) quantifying what reconciliation buys under chaos.
 enum class ActuationMode : uint8_t {
   kInStep,
   kReconciler,
-};
-
-// Which event-loop implementation runs the cluster.
-//
-//  - kClassic: one event loop, one RNG stream shared by every job -- the
-//    original engine, bit-compatible with all releases since PR 1.
-//  - kSharded: jobs are partitioned across `shard_threads` shards, each with
-//    its own event scheduler and per-job RNG streams; shards synchronise at
-//    every control boundary (reactive tick, metrics window, long-term
-//    decision) where the coordinator runs the policy and applies actions in
-//    job order. Results are bit-identical at any shard/thread count, but --
-//    because RNG streams are per-job rather than shared -- they are a
-//    *different* (equally valid) sample path than kClassic produces.
-//    Restrictions: the node-placement model and node-level fault events are
-//    not supported (ValidateSimConfig rejects them), scheduled replica-burst
-//    faults and delayed scale-ups land on the first control boundary at or
-//    after their nominal time, and per-request trace spans are not emitted.
-enum class SimEngine : uint8_t {
-  kClassic,
-  kSharded,
 };
 
 struct SimJobConfig {
@@ -109,11 +93,9 @@ struct MinuteSnapshot {
   double budget_remaining_frac = 1.0;  // run-to-date; negative when overspent
 };
 
-// Streaming hook for live consumers (the faro_serve telemetry daemon). Both
-// engines invoke it serially, in job order, on the thread driving the run --
-// the classic event-loop thread, or the sharded engine's coordinator with
-// every shard parked at the metrics barrier -- so implementations need no
-// locking against the simulation itself.
+// Streaming hook for live consumers (the faro_serve telemetry daemon). The
+// engine invokes it serially, in job order, on the thread driving the run, so
+// implementations need no locking against the simulation itself.
 class SimMinuteObserver {
  public:
   virtual ~SimMinuteObserver() = default;
@@ -121,7 +103,7 @@ class SimMinuteObserver {
 };
 
 // Streaming hook for published desired states (the faro_serve live actuator).
-// Both engines invoke it on the thread driving the run, immediately after a
+// The engine invokes it on the thread driving the run, immediately after a
 // decision is stamped with its generation and handed to the virtual-time
 // reconciler -- both actuation modes publish. Observing never perturbs the
 // run: no RNG draws, no simulation state, and the engine does not wait on
@@ -170,11 +152,6 @@ struct SimConfig {
   // neither perturbs the simulation -- no RNG draws, no FP changes.
   TraceSession trace;
   bool obs_metrics = false;
-  // Event engine selection (see SimEngine above) and, for kSharded, the
-  // number of shard worker threads (0 = DefaultThreadCount()). The shard
-  // count never changes results -- only wall-clock.
-  SimEngine engine = SimEngine::kClassic;
-  size_t shard_threads = 0;
   // Future-event-set implementation. Both kinds pop in the identical total
   // order (time, then push sequence), so this is a pure performance knob:
   // the calendar queue is O(1) amortised, the binary heap is the reference.
@@ -328,7 +305,7 @@ class SimStepper {
 };
 
 // Validates `config` (throws std::invalid_argument like RunSimulation) and
-// returns a primed stepper for the configured engine.
+// returns a primed stepper.
 std::unique_ptr<SimStepper> MakeSimStepper(const SimConfig& config,
                                            const std::vector<SimJobConfig>& jobs,
                                            AutoscalingPolicy& policy);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/parallel.h"
+#include "src/faults/faultplan.h"
 #include "src/sim/harness.h"
 
 namespace faro {
@@ -207,6 +208,97 @@ TEST(DeterminismTest, SharedTrainedPredictorIsRaceFreeAndDeterministic) {
   const TrialAggregate serial = RunTrials(serial_setup, workload, "Faro-FairSum", predictor);
   const TrialAggregate parallel = RunTrials(setup, workload, "Faro-FairSum", predictor);
   ExpectAggregatesIdentical(serial, parallel);
+}
+
+// One single-trial AIAD run shape for the RunPolicy-level checks below.
+ExperimentSetup SingleRunSetup() {
+  ExperimentSetup setup;
+  setup.num_jobs = 6;
+  setup.capacity = 24.0;
+  setup.right_size_replicas = 22.0;
+  setup.days = 2;
+  setup.trials = 1;
+  setup.processing_jitter = 0.05;
+  setup.cold_start_jitter_s = 10.0;
+  return setup;
+}
+
+void ExpectRunsIdentical(const RunResult& a, const RunResult& b, const std::string& label) {
+  EXPECT_EQ(a.events_processed, b.events_processed) << label;
+  EXPECT_EQ(a.cluster_peak_replicas, b.cluster_peak_replicas) << label;
+  EXPECT_EQ(a.cluster_lost_utility, b.cluster_lost_utility) << label;
+  EXPECT_EQ(a.cluster_slo_violation_rate, b.cluster_slo_violation_rate) << label;
+  EXPECT_EQ(a.fault_log.size(), b.fault_log.size()) << label;
+  ASSERT_EQ(a.jobs.size(), b.jobs.size()) << label;
+  for (size_t j = 0; j < a.jobs.size(); ++j) {
+    EXPECT_EQ(a.jobs[j].arrivals, b.jobs[j].arrivals) << label << " job " << j;
+    EXPECT_EQ(a.jobs[j].drops, b.jobs[j].drops) << label << " job " << j;
+    EXPECT_EQ(a.jobs[j].violations, b.jobs[j].violations) << label << " job " << j;
+    EXPECT_EQ(a.jobs[j].avg_utility, b.jobs[j].avg_utility) << label << " job " << j;
+    EXPECT_EQ(a.jobs[j].avg_replicas, b.jobs[j].avg_replicas) << label << " job " << j;
+    for (size_t c = 0; c < kNumLossCauses; ++c) {
+      EXPECT_EQ(a.jobs[j].lost_by_cause[c], b.jobs[j].lost_by_cause[c])
+          << label << " job " << j << " cause " << LossCauseName(c);
+    }
+    EXPECT_EQ(a.jobs[j].minute_p99, b.jobs[j].minute_p99) << label << " job " << j;
+    EXPECT_EQ(a.jobs[j].minute_burn_fast, b.jobs[j].minute_burn_fast)
+        << label << " job " << j;
+  }
+}
+
+// An inactive chaos plan must draw nothing from any stream: the run is
+// bit-identical to one with the default (empty) plan.
+TEST(DeterminismTest, InactivePlanLeavesRunsUntouched) {
+  ExperimentSetup setup = SingleRunSetup();
+  const PreparedWorkload workload = PrepareWorkload(setup);
+  auto policy_a = MakePolicy("AIAD", nullptr);
+  const RunResult a = RunPolicy(setup, workload, *policy_a, 777);
+  setup.faults = FaultPlan{};
+  setup.faults.seed ^= 0xabcdefull;  // inactive: the seed must not matter
+  auto policy_b = MakePolicy("AIAD", nullptr);
+  const RunResult b = RunPolicy(setup, workload, *policy_b, 777);
+  ExpectRunsIdentical(a, b, "inactive-plan");
+  EXPECT_TRUE(a.fault_log.empty());
+}
+
+// record_minute_series=false keeps memory flat; the running-sum averages
+// must match the recorded-series averages bit-for-bit (same additions in the
+// same order), and the per-minute vectors come back empty.
+TEST(DeterminismTest, RunningSumsMatchRecordedSeries) {
+  ExperimentSetup setup = SingleRunSetup();
+  const PreparedWorkload workload = PrepareWorkload(setup);
+  auto policy_a = MakePolicy("AIAD", nullptr);
+  const RunResult recorded = RunPolicy(setup, workload, *policy_a, 555);
+  setup.record_minute_series = false;
+  auto policy_b = MakePolicy("AIAD", nullptr);
+  const RunResult summed = RunPolicy(setup, workload, *policy_b, 555);
+
+  EXPECT_EQ(recorded.events_processed, summed.events_processed);
+  ASSERT_EQ(recorded.jobs.size(), summed.jobs.size());
+  for (size_t j = 0; j < recorded.jobs.size(); ++j) {
+    EXPECT_EQ(recorded.jobs[j].arrivals, summed.jobs[j].arrivals) << j;
+    EXPECT_EQ(recorded.jobs[j].avg_utility, summed.jobs[j].avg_utility) << j;
+    EXPECT_EQ(recorded.jobs[j].avg_effective_utility,
+              summed.jobs[j].avg_effective_utility)
+        << j;
+    EXPECT_EQ(recorded.jobs[j].avg_replicas, summed.jobs[j].avg_replicas) << j;
+    EXPECT_TRUE(summed.jobs[j].minute_p99.empty()) << j;
+    EXPECT_TRUE(summed.jobs[j].minute_utility.empty()) << j;
+    // Attribution averages come from running totals, so they are independent
+    // of whether the per-window series were recorded.
+    for (size_t c = 0; c < kNumLossCauses; ++c) {
+      EXPECT_EQ(recorded.jobs[j].lost_by_cause[c], summed.jobs[j].lost_by_cause[c])
+          << j << " cause " << LossCauseName(c);
+      EXPECT_TRUE(summed.jobs[j].minute_lost_by_cause[c].empty()) << j;
+    }
+    EXPECT_EQ(recorded.jobs[j].error_budget_consumed, summed.jobs[j].error_budget_consumed)
+        << j;
+    EXPECT_EQ(recorded.jobs[j].burn_alerts_fast, summed.jobs[j].burn_alerts_fast) << j;
+  }
+  // The cluster average folds the same per-job means in a different
+  // (mathematically equal) order; allow FP slack there only.
+  EXPECT_NEAR(recorded.cluster_avg_utility, summed.cluster_avg_utility, 1e-9);
+  EXPECT_TRUE(summed.cluster_utility_timeline.empty());
 }
 
 }  // namespace

@@ -391,39 +391,33 @@ TEST(ServeDeterminismTest, LiveActuatorRacesReplayWithoutTearingOrDivergence) {
   EXPECT_NE(body.find("\"converged\":true"), std::string::npos) << body;
 }
 
-// Stepping in arbitrary small increments is a pure refactor of Run on BOTH
-// engines: Init + StepUntil(+inf) + Finish IS the batch loop, and any finer
-// until_s schedule must land on the same result bit for bit.
-TEST(ServeDeterminismTest, SteppedRunMatchesBatchOnBothEngines) {
+// Stepping in arbitrary small increments is a pure refactor of Run:
+// Init + StepUntil(+inf) + Finish IS the batch loop, and any finer until_s
+// schedule must land on the same result bit for bit.
+TEST(ServeDeterminismTest, SteppedRunMatchesBatch) {
   ASSERT_TRUE(kForcePoolSize);
-  for (const SimEngine engine : {SimEngine::kClassic, SimEngine::kSharded}) {
-    ExperimentSetup setup = SmallSetup();
-    setup.engine = engine;
-    PreparedWorkload workload = PrepareWorkload(setup);
-    Truncate(workload, 60);
-    const SimConfig config = BuildSimConfig(setup, setup.seed);
+  const ExperimentSetup setup = SmallSetup();
+  PreparedWorkload workload = PrepareWorkload(setup);
+  Truncate(workload, 60);
+  const SimConfig config = BuildSimConfig(setup, setup.seed);
 
-    const auto batch_policy = MakePolicy("Faro-FairSum", nullptr);
-    const RunResult batch = RunSimulation(config, workload.jobs, *batch_policy);
+  const auto batch_policy = MakePolicy("Faro-FairSum", nullptr);
+  const RunResult batch = RunSimulation(config, workload.jobs, *batch_policy);
 
-    const auto stepped_policy = MakePolicy("Faro-FairSum", nullptr);
-    std::unique_ptr<SimStepper> stepper =
-        MakeSimStepper(config, workload.jobs, *stepped_policy);
-    double until = 0.0;
-    while (!stepper->done()) {
-      until += 137.0;  // deliberately misaligned with every control interval
-      stepper->StepUntil(until);
-      EXPECT_LE(stepper->now_s(), stepper->duration_s());
-    }
-    const RunResult stepped = stepper->Finish();
-
-    const std::string tag = engine == SimEngine::kClassic ? "classic" : "sharded";
-    EXPECT_EQ(stepped.events_processed, batch.events_processed) << tag;
-    EXPECT_EQ(stepped.cluster_lost_utility, batch.cluster_lost_utility) << tag;
-    EXPECT_EQ(SummaryCsvString(stepped, tag + "_stepped"),
-              SummaryCsvString(batch, tag + "_batch"))
-        << tag;
+  const auto stepped_policy = MakePolicy("Faro-FairSum", nullptr);
+  std::unique_ptr<SimStepper> stepper =
+      MakeSimStepper(config, workload.jobs, *stepped_policy);
+  double until = 0.0;
+  while (!stepper->done()) {
+    until += 137.0;  // deliberately misaligned with every control interval
+    stepper->StepUntil(until);
+    EXPECT_LE(stepper->now_s(), stepper->duration_s());
   }
+  const RunResult stepped = stepper->Finish();
+
+  EXPECT_EQ(stepped.events_processed, batch.events_processed);
+  EXPECT_EQ(stepped.cluster_lost_utility, batch.cluster_lost_utility);
+  EXPECT_EQ(SummaryCsvString(stepped, "stepped"), SummaryCsvString(batch, "stepped_batch"));
 }
 
 }  // namespace
