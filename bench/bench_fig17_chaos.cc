@@ -5,14 +5,9 @@
 // time under the pre-fault replica target, and time to utility
 // re-convergence. Faro's degradation ladder runs with the capacity-change
 // re-solve and actuation retry at their defaults and the (default-off)
-// forecast sanity guard armed at 8x.
-//
-// Actuation A/B: the Faro-FairSum arm is run twice per scenario -- once with
-// the reconciling actuator (the default) and once with the legacy in-step
-// fire-and-forget apply -- so the recovery-time delta quantifies what the
-// desired-state control loop buys when scale-ups get lost or replicas get
-// killed. Both arms land in the --bench-json output together with the
-// reconciler's convergence telemetry.
+// forecast sanity guard armed at 8x. The Faro-FairSum row's reconciler
+// convergence telemetry (generations, repair retries, fence rejections) lands
+// in the --bench-json output next to its recovery metrics.
 //
 // Flags (besides the BenchObs --metrics-out/--trace-out pair):
 //   --scenario=NAME      run one scenario instead of all four
@@ -192,39 +187,12 @@ void Run(const std::string& only_scenario, const std::string& summary_out,
         if (!slo_out.empty()) {
           WriteSloCsv(slo_out, result);
         }
-        // Actuation A/B: rerun the same arm with the legacy fire-and-forget
-        // in-step apply. Same seed, same workload, same policy config -- the
-        // only difference is whether lost scale-ups are retried, so the
-        // recovery/reconverge deltas are the reconciler's contribution.
-        ExperimentSetup ab = setup;
-        ab.actuation = ActuationMode::kInStep;
-        const TraceSession ab_session =
-            StartRunTraceSession(ab, scenario + "/" + name + "-instep");
-        FaroConfig ab_overrides = overrides;
-        ab_overrides.trace = ab_session;
-        if (ab.obs.auditing()) {
-          ab_overrides.audit_label = scenario + "/" + name + "-instep";
-        }
-        auto ab_policy = MakePolicy(name, predictor, &ab_overrides);
-        const RunResult ab_result = RunPolicy(ab, workload, *ab_policy, 5150, ab_session);
-        const Recovery ab_r = FoldRecovery(ab_result);
-        PrintRow(name + "/in-step", ab_result, ab_r);
-        std::printf("  actuation A/B: recovery delta %+.0fs, lost-utility delta %+.3f "
-                    "(in-step minus reconciler); reconciler retries=%llu "
-                    "generations=%llu max-convergence=%.0fs\n",
-                    ab_r.recovery_s - r.recovery_s,
-                    ab_result.cluster_lost_utility - result.cluster_lost_utility,
+        std::printf("  actuation: retries=%llu generations=%llu max-convergence=%.0fs\n",
                     static_cast<unsigned long long>(result.actuation.retries),
                     static_cast<unsigned long long>(result.actuation.generations_published),
                     result.actuation.convergence_s_max);
         json.Set(sc + "_faro_fairsum_recovery_s", r.recovery_s);
         json.Set(sc + "_faro_fairsum_reconverge_s", r.reconverge_s);
-        json.Set(sc + "_instep_lost_utility", ab_result.cluster_lost_utility);
-        json.Set(sc + "_instep_recovery_s", ab_r.recovery_s);
-        json.Set(sc + "_instep_reconverge_s", ab_r.reconverge_s);
-        json.Set(sc + "_actuation_recovery_delta_s", ab_r.recovery_s - r.recovery_s);
-        json.Set(sc + "_actuation_lost_utility_delta",
-                 ab_result.cluster_lost_utility - result.cluster_lost_utility);
         json.Set(sc + "_actuation_retries",
                  static_cast<double>(result.actuation.retries));
         json.Set(sc + "_actuation_generations",

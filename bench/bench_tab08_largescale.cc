@@ -123,7 +123,6 @@ void RunSolveCost(BenchJson& json, size_t num_jobs, double capacity, size_t epoc
   std::printf("%9.2f      %9.0f    %8.2f     %9.2f\n", agg.solve_ms_per_cycle_mean,
               agg.solver_evals_per_cycle_mean, agg.lost_utility_mean, utility);
   json.Set("lost_utility_multistart", agg.lost_utility_mean);
-  json.Set("solve_ms_multistart", agg.solve_ms_per_cycle_mean);
   json.Set("solver_evals_multistart", agg.solver_evals_per_cycle_mean);
   json.Set("racing_evals_saved_per_cycle", agg.solver_race_evals_saved_per_cycle_mean);
   json.Set("racing_starts_pruned_per_cycle", agg.solver_starts_pruned_per_cycle_mean);

@@ -11,7 +11,6 @@
 
 #include <sys/resource.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -27,9 +26,10 @@ namespace faro {
 
 // Machine-readable bench results (--bench-json). Collects named scalar and
 // string results during the run; on Write() emits one flat JSON object with
-// the bench name, wall time, peak RSS, and every recorded entry. CI uploads
-// these as artifacts and asserts the headline numbers against checked-in
-// baselines (bench/baselines/).
+// the bench name, peak RSS, and every recorded entry. CI uploads these as
+// artifacts and asserts the headline numbers against checked-in baselines
+// (bench/baselines/). Timings live in perfbench/, which records repeats and
+// the build that produced them; a bench JSON holds quality outputs only.
 class BenchJson {
  public:
   void Enable(std::string bench_name, std::string path) {
@@ -57,9 +57,9 @@ class BenchJson {
     strings_.emplace_back(key, value);
   }
 
-  // Writes the JSON file (no-op when not enabled). `wall_ms` is the bench's
-  // total wall-clock; peak RSS is read from getrusage at write time.
-  void Write(double wall_ms) const {
+  // Writes the JSON file (no-op when not enabled). Peak RSS is read from
+  // getrusage at write time.
+  void Write() const {
     if (!enabled()) {
       return;
     }
@@ -73,7 +73,6 @@ class BenchJson {
     // ru_maxrss is KiB on Linux.
     const double peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
     std::fprintf(out, "{\n  \"bench\": \"%s\",\n", name_.c_str());
-    std::fprintf(out, "  \"wall_ms\": %.3f,\n", wall_ms);
     std::fprintf(out, "  \"peak_rss_mb\": %.3f", peak_rss_mb);
     for (const auto& [key, value] : numbers_) {
       if (std::isfinite(value)) {
@@ -109,7 +108,7 @@ class BenchJson {
 // a no-op end to end.
 class BenchObs {
  public:
-  BenchObs(int& argc, char** argv) : start_(std::chrono::steady_clock::now()) {
+  BenchObs(int& argc, char** argv) {
     ObsConfig config = DefaultObsConfig();
     // BENCH_<name>.json next to the CWD by default, <name> from argv[0]
     // ("bench_tab08_largescale" -> "tab08_largescale").
@@ -154,11 +153,7 @@ class BenchObs {
   }
   ~BenchObs() {
     WriteObsOutputs(DefaultObsConfig());
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                  start_)
-            .count();
-    json_.Write(wall_ms);
+    json_.Write();
   }
   BenchObs(const BenchObs&) = delete;
   BenchObs& operator=(const BenchObs&) = delete;
@@ -166,7 +161,6 @@ class BenchObs {
   BenchJson& json() { return json_; }
 
  private:
-  std::chrono::steady_clock::time_point start_;
   BenchJson json_;
 };
 

@@ -21,11 +21,46 @@ namespace {
 // within this tolerance of the maximum.
 constexpr double kFullUtilityTolerance = 1e-3;
 
+// Replica cold-start delay planned around by Stage 1 (the simulator's and the
+// paper's ~60 s).
+constexpr double kColdStartS = 60.0;
+// Reactive trigger (§4.4, §6): a job that has violated its SLO this long gets
+// one additive upscale, at most once per period.
+constexpr double kOverloadTriggerS = 30.0;
+
+// Cold-start-aware hysteresis: a re-solve's allocation is adopted only if its
+// predicted cluster-objective value beats the current allocation's by this
+// margin. Replica moves are not free -- the receiving job waits out a cold
+// start while the losing job degrades immediately -- so near-tie reshuffles
+// (common under saturation, where predictions fluctuate but no allocation is
+// good) are suppressed.
+constexpr double kSwitchMargin = 0.05;
+
+// COBYLA settings ("initial variable change of 2", §5).
+constexpr double kSolverRhoBegin = 2.0;
+constexpr double kSolverRhoEnd = 1e-3;
+constexpr int kSolverMaxEvaluations = 4000;
+
+// Off-cadence re-solve when cluster capacity shrinks by more than this
+// fraction since the last solve (node crash/drain).
+constexpr double kCapacityResolveThreshold = 0.05;
+
 // Stage-2 multi-start settings (optim/multistart.h); every caller runs these.
-// Stability bar for the early exit: an incumbent solve that improves on its
-// start by at most this relative fraction confirms the incumbent and skips
-// the rest of the portfolio. Deliberately the same magnitude as
-// `switch_margin`: an improvement too small to adopt is too small to chase.
+// Total number of start points raced per Stage-2 solve. The base starts are
+// the warm start(s) -- the previous cycle's continuous solution and the
+// deployed allocation while the job set is unchanged, else the deployed
+// allocation (fairness-pre-solved for fairness objectives) -- plus the
+// capacity-proportional heuristic; any remaining starts are seeded jittered
+// variants of those.
+constexpr size_t kMultistartStarts = 4;
+// Early exit: the first incumbent-derived start whose solve clears the
+// stability bar wins and the scouts never run (deterministic; see
+// optim/multistart.h). The bar keeps the steady-state cycles cheap -- one
+// solve confirms the incumbent -- while load shifts still race the full
+// portfolio and get best-of selection. An incumbent solve that improves on
+// its start by at most this relative fraction confirms the incumbent and
+// skips the rest of the portfolio. Deliberately the same magnitude as
+// kSwitchMargin: an improvement too small to adopt is too small to chase.
 constexpr double kMultistartExitImprovement = 0.05;
 // Relative amplitude of the jittered start variants.
 constexpr double kMultistartJitter = 0.35;
@@ -138,26 +173,14 @@ std::string ValidateFaroConfig(const FaroConfig& config) {
   if (config.decision_interval_s <= 0.0) {
     return "FaroConfig: decision_interval_s must be > 0";
   }
-  if (config.overload_trigger_s < 0.0) {
-    return "FaroConfig: overload_trigger_s must be >= 0";
-  }
   if (config.step_seconds <= 0.0) {
     return "FaroConfig: step_seconds must be > 0";
-  }
-  if (config.cold_start_s < 0.0) {
-    return "FaroConfig: cold_start_s must be >= 0";
   }
   if (config.prediction_window_steps == 0) {
     return "FaroConfig: prediction_window_steps must be >= 1";
   }
   if (config.prediction_quantile <= 0.0 || config.prediction_quantile >= 1.0) {
     return "FaroConfig: prediction_quantile must be in (0, 1)";
-  }
-  if (config.solver_max_evaluations <= 0) {
-    return "FaroConfig: solver_max_evaluations must be > 0";
-  }
-  if (config.switch_margin < 0.0) {
-    return "FaroConfig: switch_margin must be >= 0";
   }
   if (config.solve_deadline_s < 0.0) {
     return "FaroConfig: solve_deadline_s must be >= 0 (0 disables)";
@@ -182,8 +205,6 @@ ClusterObjectiveConfig FaroAutoscaler::MakeObjectiveConfig() const {
   config.kind = config_.objective;
   config.relaxed = config_.relaxed;
   config.latency_model = config_.latency_model;
-  config.utility_alpha = config_.utility_alpha;
-  config.rho_max = config_.rho_max;
   config.gamma = config_.gamma;
   return config;
 }
@@ -196,7 +217,7 @@ std::vector<std::vector<double>> FaroAutoscaler::PredictLoads(
   // control, so they are skipped.
   const size_t skip = std::min(
       config_.prediction_window_steps > 0 ? config_.prediction_window_steps - 1 : size_t{0},
-      static_cast<size_t>(std::ceil(config_.cold_start_s / config_.step_seconds)));
+      static_cast<size_t>(std::ceil(kColdStartS / config_.step_seconds)));
   for (size_t i = 0; i < metrics.size(); ++i) {
     if (!config_.enable_prediction) {
       loads[i] = {std::max(0.0, metrics[i].arrival_rate)};
@@ -504,9 +525,9 @@ ScalingAction FaroAutoscaler::SolveFlat(const std::vector<JobSpec>& job_specs,
     x_current[i] = std::min(x_current[i], obj_config.max_replicas_per_job);
   }
   CobylaConfig solver;
-  solver.rho_begin = config_.solver_rho_begin;
-  solver.rho_end = config_.solver_rho_end;
-  solver.max_evaluations = config_.solver_max_evaluations;
+  solver.rho_begin = kSolverRhoBegin;
+  solver.rho_end = kSolverRhoEnd;
+  solver.max_evaluations = kSolverMaxEvaluations;
 
   const uint64_t signature = JobSetSignature(job_specs, config_.objective);
   const bool warm_hit =
@@ -607,8 +628,8 @@ ScalingAction FaroAutoscaler::SolveFlat(const std::vector<JobSpec>& job_specs,
     // few hundred evaluations from a warm start; the integer exchange polish
     // repairs the truncated tail at far lower cost than letting the
     // continuous solver grind out its last fractional digits.
-    ms.cobyla.max_evaluations = std::max(500, config_.solver_max_evaluations / 4);
-    ms.early_exit = config_.multistart_early_exit;
+    ms.cobyla.max_evaluations = std::max(500, kSolverMaxEvaluations / 4);
+    ms.early_exit = true;
     ms.early_exit_improvement = kMultistartExitImprovement;
     ms.racing_probe_evals = kRacingProbeEvals;
     ms.racing_confirm_evals = kRacingConfirmEvals;
@@ -619,9 +640,8 @@ ScalingAction FaroAutoscaler::SolveFlat(const std::vector<JobSpec>& job_specs,
     ms.trace = config_.trace;
     ms.deadline_enabled = cycle_deadline_enabled_;
     ms.deadline = cycle_deadline_;
-    const size_t extra = config_.multistart_starts > starts.size()
-                             ? config_.multistart_starts - starts.size()
-                             : 0;
+    const size_t extra =
+        kMultistartStarts > starts.size() ? kMultistartStarts - starts.size() : 0;
     ScopedWallSpan solve_span(config_.trace, kAutoscalerTid, "stage2_solve", "autoscaler");
     const MultiStartResult ms_result =
         MultiStartSolve(problem, std::move(starts), extra, ms);
@@ -688,8 +708,8 @@ ScalingAction FaroAutoscaler::SolveFlat(const std::vector<JobSpec>& job_specs,
   }
 
   // Cold-start-aware hysteresis: keep the standing allocation when the new
-  // one is not predicted to be materially better (see FaroConfig).
-  if (config_.switch_margin > 0.0) {
+  // one is not predicted to be materially better (see kSwitchMargin).
+  {
     std::vector<uint32_t> current(job_specs.size());
     bool differs = false;
     double current_cpu = 0.0;
@@ -711,7 +731,7 @@ ScalingAction FaroAutoscaler::SolveFlat(const std::vector<JobSpec>& job_specs,
           v_cur[job_specs.size() + i] = action.drop_rates[i];
         }
       }
-      if (objective.Evaluate(v_new) < objective.Evaluate(v_cur) + config_.switch_margin) {
+      if (objective.Evaluate(v_new) < objective.Evaluate(v_cur) + kSwitchMargin) {
         action.replicas = current;
       }
     }
@@ -988,8 +1008,8 @@ std::optional<ScalingAction> FaroAutoscaler::FastReact(double now_s,
   // off-cadence re-solve now. Runs before the enable_hybrid gate: capacity
   // loss matters to ablation arms without the reactive loop too. Never fires
   // in a fault-free run (capacity only shrinks under injected node faults).
-  if (config_.capacity_resolve_threshold > 0.0 && last_solve_cpu_ > 0.0 &&
-      resources.cpu < last_solve_cpu_ * (1.0 - config_.capacity_resolve_threshold)) {
+  if (last_solve_cpu_ > 0.0 &&
+      resources.cpu < last_solve_cpu_ * (1.0 - kCapacityResolveThreshold)) {
     ++telemetry_.capacity_resolves;
     if (config_.trace.on()) {
       config_.trace.SimInstant(kAutoscalerTid, "capacity_resolve", "autoscaler", now_s);
@@ -1020,8 +1040,8 @@ std::optional<ScalingAction> FaroAutoscaler::FastReact(double now_s,
     action.replicas[i] = metrics[i].ready_replicas + metrics[i].starting_replicas;
   }
   for (const size_t i : order) {
-    if (metrics[i].overloaded_for < config_.overload_trigger_s ||
-        now_s - last_reactive_up_[i] < config_.overload_trigger_s) {
+    if (metrics[i].overloaded_for < kOverloadTriggerS ||
+        now_s - last_reactive_up_[i] < kOverloadTriggerS) {
       continue;
     }
     if (used_cpu + job_specs[i].cpu_per_replica > resources.cpu + 1e-9) {

@@ -61,12 +61,9 @@ struct FaroConfig {
   // decision cycle and covers cold start (§5).
   size_t prediction_window_steps = 7;
   double step_seconds = 60.0;
-  // Replica cold-start delay planned around by Stage 1.
-  double cold_start_s = 60.0;
 
-  // Long-term decision cadence and reactive trigger (§4.4, §6).
+  // Long-term decision cadence (§6).
   double decision_interval_s = 300.0;
-  double overload_trigger_s = 30.0;
 
   // Hierarchical optimisation: number of random job groups G (§3.4). The
   // paper uses G = 10; since Fig. 7 shows aggregation degrades the objective
@@ -75,37 +72,11 @@ struct FaroConfig {
   size_t hierarchical_groups = 10;
   size_t hierarchical_threshold = 50;
 
-  double utility_alpha = kDefaultUtilityAlpha;
-  double rho_max = kDefaultRhoMax;
   double gamma = -1.0;  // fairness weight; <=0 -> job count
 
-  // Cold-start-aware hysteresis: a re-solve's allocation is adopted only if
-  // its predicted cluster-objective value beats the current allocation's by
-  // this margin. Replica moves are not free -- the receiving job waits out a
-  // cold start while the losing job degrades immediately -- so near-tie
-  // reshuffles (common under saturation, where predictions fluctuate but no
-  // allocation is good) are suppressed.
-  double switch_margin = 0.05;
-
-  // COBYLA settings ("initial variable change of 2", §5).
-  double solver_rho_begin = 2.0;
-  double solver_rho_end = 1e-3;
-  int solver_max_evaluations = 4000;
-
   // --- Multi-start solve driver (optim/multistart.h) ----------------------
-  // Total number of start points raced per Stage-2 solve. The base starts are
-  // the warm start(s) -- the previous cycle's continuous solution and the
-  // deployed allocation while the job set is unchanged, else the deployed
-  // allocation (fairness-pre-solved for fairness objectives) -- plus the
-  // capacity-proportional heuristic; the remaining starts are seeded jittered
-  // variants of those. A value below the base count races the base starts.
-  size_t multistart_starts = 4;
-  // Early-exit: the first incumbent-derived start whose solve clears the
-  // stability bar wins and the scouts never run (deterministic; see
-  // optim/multistart.h). The bar keeps the steady-state cycles cheap -- one
-  // solve confirms the incumbent -- while load shifts still race the full
-  // portfolio and get best-of selection.
-  bool multistart_early_exit = true;
+  // The solver settings, start count, early exit, hysteresis margin, cold
+  // start and reactive trigger are fixed constants in autoscaler.cc.
   // Thread cap for the solve fan-out (starts and hierarchical groups):
   // 0 = shared pool size, 1 = serial. Solutions are bit-identical at every
   // setting for a fixed seed.
@@ -127,9 +98,6 @@ struct FaroConfig {
   // therefore perturbs fault-free runs and is an explicit opt-in (the chaos
   // bench arms it at 8).
   double forecast_max_jump = 0.0;
-  // Off-cadence re-solve when cluster capacity shrinks by more than this
-  // fraction since the last solve (node crash/drain). <= 0 disables.
-  double capacity_resolve_threshold = 0.05;
 
   uint64_t seed = 7;
 

@@ -87,7 +87,7 @@ struct FaultPlan {
 // plan was inactive). Mirrored into RunResult so reports and tests can see
 // the chaos that used to be invisible.
 struct FaultStats {
-  uint64_t replicas_killed = 0;  // every injection path, replica_mtbf_s included
+  uint64_t replicas_killed = 0;  // every injection path
   uint64_t node_crashes = 0;
   uint64_t node_drains = 0;
   uint64_t node_recoveries = 0;

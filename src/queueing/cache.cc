@@ -2,9 +2,6 @@
 
 #include <array>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/obs/metrics.h"
 #include "src/queueing/mdc.h"
@@ -16,7 +13,7 @@ namespace {
 // Registry-backed counters: the per-thread cells the registry hands out are
 // the single source of truth for hit/miss/eviction totals (no more parallel
 // namespace-scope atomics to keep in sync). The registry singleton is leaked,
-// so the cells outlive late-exiting pool threads and the atexit printer.
+// so the cells outlive late-exiting pool threads and exit-time sink writes.
 Counter& HitsCounter() {
   static Counter& counter = MetricsRegistry::Global().GetCounter(
       "faro_queueing_cache_hits_total", "Queueing memo cache hits");
@@ -34,33 +31,6 @@ Counter& EvictionsCounter() {
       "faro_queueing_cache_evictions_total",
       "Queueing memo cache inserts that overwrote a live entry");
   return counter;
-}
-
-void PrintGlobalCacheStats() {
-  const QueueingCacheStats totals = GetGlobalQueueingCacheStats();
-  const uint64_t lookups = totals.hits + totals.misses;
-  std::fprintf(stderr,
-               "[faro] queueing cache: %llu lookups, %llu hits (%.1f%%), %llu misses, "
-               "%llu evictions\n",
-               static_cast<unsigned long long>(lookups),
-               static_cast<unsigned long long>(totals.hits),
-               lookups > 0 ? 100.0 * static_cast<double>(totals.hits) /
-                                 static_cast<double>(lookups)
-                           : 0.0,
-               static_cast<unsigned long long>(totals.misses),
-               static_cast<unsigned long long>(totals.evictions));
-}
-
-bool CacheStatsRequested() {
-  static const bool requested = [] {
-    const char* env = std::getenv("FARO_CACHE_STATS");
-    const bool on = env != nullptr && env[0] != '\0' && env[0] != '0';
-    if (on) {
-      std::atexit(PrintGlobalCacheStats);
-    }
-    return on;
-  }();
-  return requested;
 }
 
 // splitmix64 finaliser: cheap, well-distributed 64-bit mixing.
@@ -129,8 +99,6 @@ struct ThreadCache {
 };
 
 ThreadCache& Cache() {
-  // Arm the exit-time printer (if requested) before the first cache exists.
-  CacheStatsRequested();
   thread_local ThreadCache cache;
   return cache;
 }

@@ -20,10 +20,8 @@
 //     registry (src/obs/metrics.h) as faro_queueing_cache_{hits,misses,
 //     evictions}_total, one lock-free per-thread cell per counter (an
 //     eviction is an insert that overwrites a live entry with a different
-//     key). FARO_CACHE_STATS=1 remains as an alias that prints the totals to
-//     stderr at exit, so solver-driven cache behaviour stays measurable
-//     without code changes; --metrics-out on any bench exports the same
-//     counters through the registry sinks.
+//     key); --metrics-out on any bench exports them through the registry
+//     sinks.
 
 #ifndef SRC_QUEUEING_CACHE_H_
 #define SRC_QUEUEING_CACHE_H_
@@ -49,7 +47,7 @@ QueueingCacheStats GetQueueingCacheStats();
 
 // Process-wide totals, merged over every thread's registry cells -- live
 // threads included, so a read at any point is exact for every event already
-// counted. Printed at exit when FARO_CACHE_STATS=1.
+// counted.
 QueueingCacheStats GetGlobalQueueingCacheStats();
 
 // ErlangC(servers, offered), memoised per thread.

@@ -78,7 +78,7 @@ ReplayDaemon::ReplayDaemon(const SimConfig& config,
   MetricsRegistry& registry = MetricsRegistry::Global();
   if (options_.live_actuator) {
     config_.desired_observer = this;
-    actuator_ = std::make_unique<AsyncActuator>(jobs_.size(), config_.reconciler);
+    actuator_ = std::make_unique<AsyncActuator>(jobs_.size(), ReconcilerConfig{});
     actuator_generation_gauge_ = &registry.GetGauge(
         "faro_serve_actuator_generation",
         "Newest desired-state generation accepted by the live actuator");

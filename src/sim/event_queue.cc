@@ -23,30 +23,6 @@ size_t NextPowerOfTwo(size_t n) {
 
 }  // namespace
 
-// --- BinaryHeapScheduler ----------------------------------------------------
-
-BinaryHeapScheduler::BinaryHeapScheduler(size_t capacity_hint) {
-  events_.reserve(capacity_hint);
-}
-
-void BinaryHeapScheduler::Push(const Event& event) {
-  events_.push_back(event);
-  std::push_heap(events_.begin(), events_.end(), EventLater{});
-}
-
-Event BinaryHeapScheduler::Pop() {
-  std::pop_heap(events_.begin(), events_.end(), EventLater{});
-  const Event event = events_.back();
-  events_.pop_back();
-  return event;
-}
-
-double BinaryHeapScheduler::NextTime() {
-  return events_.empty() ? kInfTime : events_.front().time;
-}
-
-// --- CalendarQueueScheduler -------------------------------------------------
-
 CalendarQueueScheduler::CalendarQueueScheduler(size_t capacity_hint) {
   const size_t buckets = std::clamp(NextPowerOfTwo(capacity_hint), kMinBuckets,
                                     kMaxBuckets);
@@ -188,17 +164,6 @@ void CalendarQueueScheduler::Resize(size_t buckets) {
     }
   }
   std::make_heap(dispatch_.begin(), dispatch_.end(), EventLater{});
-}
-
-std::unique_ptr<EventScheduler> MakeScheduler(SchedulerKind kind,
-                                              size_t capacity_hint) {
-  switch (kind) {
-    case SchedulerKind::kBinaryHeap:
-      return std::make_unique<BinaryHeapScheduler>(capacity_hint);
-    case SchedulerKind::kCalendar:
-      break;
-  }
-  return std::make_unique<CalendarQueueScheduler>(capacity_hint);
 }
 
 }  // namespace faro

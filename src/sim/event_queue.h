@@ -1,27 +1,22 @@
 // Event scheduling for the discrete-event simulator.
 //
-// The simulator's future-event set used to be a manual binary heap inlined in
-// simulator.cc. At hyperscale (thousands of jobs, hundreds of thousands of
-// pending events) the O(log n) heap churn dominates, so the event set now
-// lives behind the EventScheduler interface with two implementations:
+// The simulator's future-event set is a Brown-style calendar queue (ring of
+// time buckets plus a small dispatch heap for the current bucket) with O(1)
+// amortised Push/Pop under the stationary event rates a day-long trace
+// produces, and content-driven resizing when the event count drifts. At
+// hyperscale (thousands of jobs, hundreds of thousands of pending events) a
+// binary heap's O(log n) churn dominates instead.
 //
-//  - BinaryHeapScheduler: the original manual heap, kept as the reference;
-//  - CalendarQueueScheduler: a Brown-style calendar queue (ring of time
-//    buckets plus a small dispatch heap for the current bucket) with O(1)
-//    amortised Push/Pop under the stationary event rates a day-long trace
-//    produces, and content-driven resizing when the event count drifts.
-//
-// Both implement the exact same total order -- earliest time first, FIFO
-// sequence tie-break -- so swapping one for the other is bit-invisible to the
-// simulation. tests/event_queue_test.cc drives them with identical randomized
-// event streams and asserts identical pop sequences.
+// The pop order is the total order earliest time first, FIFO sequence
+// tie-break. tests/event_queue_test.cc drives the queue and a reference
+// binary heap (tests/binary_heap_scheduler.h) with identical randomized event
+// streams and asserts identical pop sequences.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace faro {
@@ -56,46 +51,6 @@ struct EventLater {
   }
 };
 
-// Future-event set. Pop order is the total order (time, sequence) ascending;
-// implementations must agree bit-exactly so the engine choice never changes
-// simulation results. Event times must be non-negative and Push must never
-// schedule before the most recently popped event's bucket year (true for any
-// discrete-event loop: events are scheduled at or after the current time).
-class EventScheduler {
- public:
-  virtual ~EventScheduler() = default;
-
-  virtual void Push(const Event& event) = 0;
-  // Requires !Empty().
-  virtual Event Pop() = 0;
-  // Time of the next event to pop; infinity when empty. Non-const because a
-  // calendar queue advances its cursor to locate the head lazily.
-  virtual double NextTime() = 0;
-  virtual bool Empty() const = 0;
-  virtual size_t size() const = 0;
-
-  // Drops every pending event (used between runs; capacity is retained).
-  virtual void Clear() = 0;
-};
-
-// Reference implementation: manual binary heap over a reserved vector
-// (std::priority_queue hides its container, so it could neither be reserved
-// nor reused across runs).
-class BinaryHeapScheduler final : public EventScheduler {
- public:
-  explicit BinaryHeapScheduler(size_t capacity_hint = 4096);
-
-  void Push(const Event& event) override;
-  Event Pop() override;
-  double NextTime() override;
-  bool Empty() const override { return events_.empty(); }
-  size_t size() const override { return events_.size(); }
-  void Clear() override { events_.clear(); }
-
- private:
-  std::vector<Event> events_;  // binary heap via std::push_heap/pop_heap
-};
-
 // Calendar queue: a power-of-two ring of unsorted time buckets of width
 // `width_`, a monotone cursor over absolute bucket numbers floor(t / width),
 // and a small binary heap ("dispatch") holding exactly the events of the
@@ -104,16 +59,24 @@ class BinaryHeapScheduler final : public EventScheduler {
 // takes the dispatch minimum, refilling it from successive buckets as they
 // drain. The ring is rebuilt -- new size, new width estimated from the live
 // event span -- when the population outgrows or undershoots it.
-class CalendarQueueScheduler final : public EventScheduler {
+//
+// Event times must be non-negative and Push must never schedule before the
+// most recently popped event's bucket year (true for any discrete-event loop:
+// events are scheduled at or after the current time).
+class CalendarQueueScheduler {
  public:
   explicit CalendarQueueScheduler(size_t capacity_hint = 4096);
 
-  void Push(const Event& event) override;
-  Event Pop() override;
-  double NextTime() override;
-  bool Empty() const override { return size_ == 0; }
-  size_t size() const override { return size_; }
-  void Clear() override;
+  void Push(const Event& event);
+  // Requires !Empty().
+  Event Pop();
+  // Time of the next event to pop; infinity when empty. Non-const because the
+  // queue advances its cursor to locate the head lazily.
+  double NextTime();
+  bool Empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
+  // Drops every pending event (capacity is retained).
+  void Clear();
 
  private:
   uint64_t AbsBucket(double time) const {
@@ -136,14 +99,6 @@ class CalendarQueueScheduler final : public EventScheduler {
   size_t grow_at_ = 0;    // resize up when size_ exceeds this
   size_t shrink_at_ = 0;  // resize down when size_ falls below this
 };
-
-enum class SchedulerKind : uint8_t {
-  kCalendar,    // default: O(1) amortised calendar queue
-  kBinaryHeap,  // reference implementation
-};
-
-std::unique_ptr<EventScheduler> MakeScheduler(SchedulerKind kind,
-                                              size_t capacity_hint = 4096);
 
 }  // namespace faro
 

@@ -195,9 +195,7 @@ SimConfig BuildSimConfig(const ExperimentSetup& setup, uint64_t trial_seed,
   config.nodes = setup.nodes;
   config.placement_strategy = setup.placement_strategy;
   config.faults = setup.faults;
-  config.scheduler = setup.scheduler;
   config.record_minute_series = setup.record_minute_series;
-  config.actuation = setup.actuation;
   return config;
 }
 

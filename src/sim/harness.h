@@ -102,18 +102,12 @@ struct ExperimentSetup {
   // program (perfbench/faro_perfbench.cc) still assigns it; the next change
   // to the benchmark deletes that line, then this field and SimEngine.
   SimEngine engine = SimEngine::kClassic;
-  // Copied verbatim into SimConfig: the future-event-set implementation, and
-  // whether per-minute output series are recorded (hyperscale runs turn them
-  // off to keep memory flat).
-  SchedulerKind scheduler = SchedulerKind::kCalendar;
+  // Copied verbatim into SimConfig: whether per-minute output series are
+  // recorded (hyperscale runs turn them off to keep memory flat).
   bool record_minute_series = true;
   // Trial racing, defaulting from the process-wide --race / FARO_RACE switch
   // so existing benches inherit it without code changes.
   TrialRaceConfig race = DefaultTrialRace();
-  // Actuation path, copied verbatim into SimConfig: the reconciling actuator
-  // (default) or the legacy fire-and-forget in-step apply -- the A/B arm
-  // bench_fig17_chaos uses to quantify what reconciliation buys under chaos.
-  ActuationMode actuation = ActuationMode::kReconciler;
 };
 
 // Job specs plus train/eval traces, all in simulator units (traces are req

@@ -25,32 +25,49 @@ using sim_internal::JobState;
 using sim_internal::kInfLatency;
 using sim_internal::UpdateOverloadTimerCore;
 
+// Metrics windows are one sim-minute long, matching the per-minute trace
+// rates and §6's per-minute metric definitions.
+constexpr double kMetricsWindowS = 60.0;
+// Per-minute arrival-rate observations exposed to predictors.
+constexpr size_t kHistorySteps = 30;
+
+// The reconciler runs ReconcilerConfig's default retry/backoff settings. Its
+// jitter seed is derived from the run seed so distinct trials get distinct
+// (but reproducible) retry schedules; the trailing zero mix-in keeps those
+// schedules identical to earlier runs.
+ReconcilerConfig SimReconcilerConfig(uint64_t seed) {
+  ReconcilerConfig rc;
+  rc.seed = HashCombine(HashCombine(seed, 0xac70a7eull), 0);
+  return rc;
+}
+
 // The engine: one event loop, one RNG stream shared by every job. The
-// future-event set sits behind EventScheduler (calendar queue by default,
-// binary heap as reference -- both pop in the identical (time, sequence)
-// order, so the choice never changes results); per-request state lives in a
-// struct-of-arrays RequestPool instead of per-job deques.
+// future-event set is a calendar queue that pops in (time, sequence) order;
+// per-request state lives in a struct-of-arrays RequestPool instead of per-job
+// deques.
 //
 // The engine is a SimStepper: Init() primes the run, StepUntil() drains the
 // event loop up to a sim-time target, Finish() aggregates. The batch path
 // (RunSimulation) is Init + StepUntil(+inf) + Finish, so paced and batch
 // runs execute identical code over the identical event order.
 //
-// Actuation goes through the reconciler (src/actuate/): decisions are
+// Actuation goes through the reconciler (src/actuate/), as Kubernetes
+// converges replicas level-triggered toward a desired count: decisions are
 // published as versioned desired states and the engine itself is the
 // ClusterPort the reconciler converges. The first reconcile pass of a
-// generation executes the historical in-step apply bit-exactly (same job
-// order, same fault/cold-start draw order); repair passes run at reactive
-// ticks and are zero-draw no-ops while the fleet holds its targets (see
-// ActuationMode for when a fault-free fleet does not).
+// generation applies the decision; repair passes run at reactive ticks and
+// are zero-draw no-ops while the fleet holds its targets. A fault-free fleet
+// can still fall short: policies count draining replicas (busy replicas an
+// earlier downscale left to finish their request) as ready, so a target can
+// include them, and a repair pass provisions them again once they exit
+// (DESIGN.md, "Repair of drained replicas").
 class Simulation final : public SimStepper, private ClusterPort {
  public:
   Simulation(const SimConfig& config, const std::vector<SimJobConfig>& jobs,
              AutoscalingPolicy& policy)
       : config_(config), jobs_(jobs), policy_(policy), rng_(config.seed),
-        trace_(config.trace), events_(MakeScheduler(config.scheduler, 4096)),
-        injector_(config.faults, config.seed),
-        reconciler_(EffectiveReconcilerConfig(config)) {}
+        trace_(config.trace), events_(4096), injector_(config.faults, config.seed),
+        reconciler_(SimReconcilerConfig(config.seed)) {}
 
   void Init();
   void StepUntil(double until_s) override;
@@ -61,7 +78,7 @@ class Simulation final : public SimStepper, private ClusterPort {
 
  private:
   void Push(double time, EventKind kind, uint32_t job, double payload = 0.0) {
-    events_->Push(Event{time, kind, job, sequence_++, payload});
+    events_.Push(Event{time, kind, job, sequence_++, payload});
   }
 
   // Generates the next minute's Poisson arrivals for every job.
@@ -74,13 +91,6 @@ class Simulation final : public SimStepper, private ClusterPort {
   void RecordLatency(uint32_t job, double latency);
 
   // --- reconciling actuator (src/actuate/) --------------------------------
-  // Derives the jitter seed from the run seed so distinct trials get
-  // distinct (but reproducible) retry schedules.
-  static ReconcilerConfig EffectiveReconcilerConfig(const SimConfig& config) {
-    ReconcilerConfig rc = config.reconciler;
-    rc.seed = HashCombine(HashCombine(config.seed, 0xac70a7eull), rc.seed);
-    return rc;
-  }
   // Publishes one decision as the next desired-state generation and runs its
   // first reconcile pass (the historical in-step apply).
   void PublishAction(const ScalingAction& action);
@@ -99,7 +109,6 @@ class Simulation final : public SimStepper, private ClusterPort {
                        double now_s) override;
   void SetDropRate(size_t job, double rate) override;
 
-  void InjectReplicaFailures();
   void UpdateOverloadTimers();
   const std::vector<JobMetrics>& CollectMetrics();
 
@@ -160,7 +169,7 @@ class Simulation final : public SimStepper, private ClusterPort {
   Histogram::Cell* m_latency_ = nullptr;
   Histogram::Cell* m_queue_wait_ = nullptr;
   Histogram::Cell* m_cold_start_ = nullptr;
-  std::unique_ptr<EventScheduler> events_;
+  CalendarQueueScheduler events_;
   RequestPool pool_;
   std::vector<double> scratch_latencies_;
   std::vector<JobMetrics> metrics_scratch_;
@@ -360,50 +369,6 @@ void Simulation::HandleReplicaReady(const Event& event) {
   StartServiceIfPossible(event.job);
 }
 
-void Simulation::InjectReplicaFailures() {
-  if (config_.replica_mtbf_s <= 0.0) {
-    return;
-  }
-  const double failure_prob = config_.reactive_interval_s / config_.replica_mtbf_s;
-  for (uint32_t j = 0; j < jobs_.size(); ++j) {
-    JobState& js = state_[j];
-    uint32_t failures = 0;
-    for (uint32_t r = 0; r < js.ready; ++r) {
-      if (rng_.Uniform() < failure_prob) {
-        ++failures;
-      }
-    }
-    if (failures == 0) {
-      continue;
-    }
-    const uint32_t ready_before = js.ready - std::min(js.ready, js.pending_removal);
-    uint32_t killed = 0;
-    while (failures-- > 0 && js.ready > js.pending_removal) {
-      if (js.ready - js.busy > 0 && js.busy + js.pending_removal < js.ready) {
-        --js.ready;  // idle replica dies immediately
-        if (placement_ != nullptr) {
-          (void)placement_->RemoveReplica(jobs_[j].spec);
-        }
-      } else {
-        ++js.pending_removal;  // busy replica exits after its request
-      }
-      ++killed;
-    }
-    if (killed > 0) {
-      js.injected_failures += killed;
-      js.recover_target = std::max(js.recover_target, ready_before);
-      if (js.fault_first_s < 0.0) {
-        js.fault_first_s = now_;
-      }
-      injector_.stats().replicas_killed += killed;
-      if (m_fault_kills_ != nullptr) {
-        m_fault_kills_->Add(killed);
-      }
-      RecordFault("replica_mtbf", jobs_[j].spec.name, killed);
-    }
-  }
-}
-
 uint32_t Simulation::KillReplicas(uint32_t j, uint32_t want, bool placement_freed) {
   JobState& js = state_[j];
   // Recovery bar: the replicas that were actually alive (not already
@@ -577,7 +542,7 @@ void Simulation::RecordFault(const char* what, const std::string& target,
 
 void Simulation::UpdateOverloadTimers() {
   for (uint32_t j = 0; j < jobs_.size(); ++j) {
-    UpdateOverloadTimerCore(state_[j], jobs_[j].spec, now_, config_.metrics_window_s,
+    UpdateOverloadTimerCore(state_[j], jobs_[j].spec, now_, kMetricsWindowS,
                             config_.reactive_interval_s, scratch_latencies_);
   }
 }
@@ -843,7 +808,7 @@ void Simulation::Init() {
 
   // Prime the event queue: first minute of arrivals, ticks, first decision.
   ScheduleMinuteArrivals(0);
-  Push(config_.metrics_window_s, EventKind::kMetricsTick, 0);
+  Push(kMetricsWindowS, EventKind::kMetricsTick, 0);
   Push(config_.reactive_interval_s, EventKind::kReactiveTick, 0);
   Push(0.0, EventKind::kDecideTick, 0);
   next_minute_ = 1;
@@ -856,8 +821,8 @@ void Simulation::StepUntil(double until_s) {
   // uncounted either way. That makes stepping to any intermediate target a
   // pure prefix of the batch loop.
   const double limit = std::min(until_s, duration_);
-  while (!events_->Empty() && events_->NextTime() <= limit) {
-    const Event event = events_->Pop();
+  while (!events_.Empty() && events_.NextTime() <= limit) {
+    const Event event = events_.Pop();
     ++events_processed_;
     now_ = event.time;
     switch (event.kind) {
@@ -872,16 +837,13 @@ void Simulation::StepUntil(double until_s) {
         break;
       case EventKind::kReactiveTick: {
         InjectStochasticFaults();
-        InjectReplicaFailures();
         AccountFaultDeficits();
         RetryPendingPlacements();
         // Level-triggered repair rides the reactive cadence: re-issue any
         // scale-up an actuation fault ate or a kill re-opened, before the
         // policy reads metrics (so FastReact sees repairs as `starting`).
         // Zero draws -- and zero state changes -- while the fleet converges.
-        if (config_.actuation == ActuationMode::kReconciler) {
-          RunReconcilePass();
-        }
+        RunReconcilePass();
         UpdateOverloadTimers();
         const auto& metrics = CollectMetrics();
         const uint64_t ladder_before =
@@ -916,8 +878,8 @@ void Simulation::StepUntil(double until_s) {
             config_.minute_observer != nullptr ? &snap : nullptr;
         for (uint32_t j = 0; j < jobs_.size(); ++j) {
           sim_internal::CloseMetricsWindowCore(
-              state_[j], jobs_[j].spec, now_, config_.metrics_window_s,
-              config_.history_steps, config_.record_minute_series,
+              state_[j], jobs_[j].spec, now_, kMetricsWindowS, kHistorySteps,
+              config_.record_minute_series,
               scratch_latencies_, snap_ptr);
           if (snap_ptr != nullptr) {
             snap.job = j;
@@ -930,7 +892,7 @@ void Simulation::StepUntil(double until_s) {
           ScheduleMinuteArrivals(next_minute_);
           ++next_minute_;
         }
-        Push(now_ + config_.metrics_window_s, EventKind::kMetricsTick, 0);
+        Push(now_ + kMetricsWindowS, EventKind::kMetricsTick, 0);
         break;
       }
       case EventKind::kFaultEvent:
@@ -938,29 +900,26 @@ void Simulation::StepUntil(double until_s) {
         break;
       case EventKind::kDelayedScaleUp: {
         // A delayed actuation finally lands. The payload packs (add,
-        // generation); under the reconciler the generation fence discards
-        // commands a newer solve has superseded, and a current-generation
-        // landing is clamped to the open deficit so a repair that already
-        // closed it is never double-applied. kInStep keeps the historical
-        // fire-and-forget landing (the next decision corrects any drift).
+        // generation); the generation fence discards commands a newer solve
+        // has superseded, and a current-generation landing is clamped to the
+        // open deficit so a repair that already closed it is never
+        // double-applied.
         const uint64_t packed = static_cast<uint64_t>(event.payload);
         uint32_t add = static_cast<uint32_t>(packed % 65536);
         const uint64_t generation = packed / 65536;
-        if (config_.actuation == ActuationMode::kReconciler) {
-          if (generation < reconciler_.generation()) {
-            reconciler_.FenceStale();
-            RecordFault("actuation_fenced", jobs_[event.job].spec.name, add);
-            break;
-          }
-          const uint32_t fleet = Fleet(event.job);
-          const uint32_t target =
-              event.job < reconciler_.desired().replicas.size()
-                  ? reconciler_.desired().replicas[event.job]
-                  : 0;
-          add = std::min(add, target > fleet ? target - fleet : 0);
-          if (add == 0) {
-            break;
-          }
+        if (generation < reconciler_.generation()) {
+          reconciler_.FenceStale();
+          RecordFault("actuation_fenced", jobs_[event.job].spec.name, add);
+          break;
+        }
+        const uint32_t fleet = Fleet(event.job);
+        const uint32_t target =
+            event.job < reconciler_.desired().replicas.size()
+                ? reconciler_.desired().replicas[event.job]
+                : 0;
+        add = std::min(add, target > fleet ? target - fleet : 0);
+        if (add == 0) {
+          break;
         }
         for (uint32_t k = 0; k < add; ++k) {
           if (!TryProvisionReplica(event.job)) {
@@ -971,7 +930,7 @@ void Simulation::StepUntil(double until_s) {
       }
     }
   }
-  if (events_->Empty() || events_->NextTime() > duration_) {
+  if (events_.Empty() || events_.NextTime() > duration_) {
     done_ = true;
   }
 }
@@ -1100,12 +1059,6 @@ std::string ValidateSimConfig(const SimConfig& config) {
     return "SimConfig: router_queue_limit must be >= 1 (a zero-length router "
            "queue drops every request)";
   }
-  if (config.replica_mtbf_s < 0.0) {
-    return "SimConfig: replica_mtbf_s must be >= 0 (0 disables failures)";
-  }
-  if (config.metrics_window_s <= 0.0) {
-    return "SimConfig: metrics_window_s must be > 0";
-  }
   if (config.reactive_interval_s <= 0.0) {
     return "SimConfig: reactive_interval_s must be > 0";
   }
@@ -1113,20 +1066,6 @@ std::string ValidateSimConfig(const SimConfig& config) {
     if (node.cpu_capacity <= 0.0 || node.mem_capacity <= 0.0) {
       return "SimConfig: node '" + node.name + "' needs positive cpu/mem capacity";
     }
-  }
-  if (config.reconciler.retry_backoff_s < 0.0) {
-    return "SimConfig: reconciler.retry_backoff_s must be >= 0 (0 disables "
-           "repair passes)";
-  }
-  if (config.reconciler.backoff_cap_s < config.reconciler.retry_backoff_s) {
-    return "SimConfig: reconciler.backoff_cap_s must be >= retry_backoff_s";
-  }
-  if (config.reconciler.jitter_frac < 0.0) {
-    return "SimConfig: reconciler.jitter_frac must be >= 0";
-  }
-  if (config.reconciler.op_timeout_s < 0.0) {
-    return "SimConfig: reconciler.op_timeout_s must be >= 0 (0 disables the "
-           "operation timeout)";
   }
   if (std::string problem = config.faults.Validate(); !problem.empty()) {
     return problem;

@@ -38,33 +38,9 @@
 #include "src/obs/attribution.h"
 #include "src/obs/slo.h"
 #include "src/obs/trace.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/placement.h"
 
 namespace faro {
-
-// How autoscaler decisions reach the simulated cluster.
-//
-//  - kReconciler (default): decisions are *published* as versioned desired
-//    states and a virtual-time reconciler (src/actuate/) converges the
-//    cluster: generation fencing discards stale publishes, and level-
-//    triggered repair passes at reactive ticks re-issue scale-ups that an
-//    actuation fault ate or a replica kill re-opened, with per-job
-//    exponential backoff + deterministic jitter. The first reconcile pass IS
-//    the historical in-step apply, so a run is bit-identical to kInStep
-//    while no repair pass finds a deficit. Fault-free runs can still find
-//    one: policies count draining replicas (busy replicas an earlier
-//    downscale left to finish their request) as ready, so a later target
-//    includes them, and when they exit a repair pass provisions them again.
-//    That is why tab09 (AIAD, no faults) reads 21.813 lost utility here and
-//    23.061 under kInStep.
-//  - kInStep: the historical fire-and-forget path -- each decision is applied
-//    once, inside the engine step, and never repaired. Kept for A/B runs
-//    (bench_fig17_chaos) quantifying what reconciliation buys under chaos.
-enum class ActuationMode : uint8_t {
-  kInStep,
-  kReconciler,
-};
 
 struct SimJobConfig {
   JobSpec spec;
@@ -105,7 +81,7 @@ class SimMinuteObserver {
 // Streaming hook for published desired states (the faro_serve live actuator).
 // The engine invokes it on the thread driving the run, immediately after a
 // decision is stamped with its generation and handed to the virtual-time
-// reconciler -- both actuation modes publish. Observing never perturbs the
+// reconciler. Observing never perturbs the
 // run: no RNG draws, no simulation state, and the engine does not wait on
 // anything the observer does with the copy.
 class DesiredStateObserver {
@@ -122,11 +98,6 @@ struct SimConfig {
   double cold_start_jitter_s = 0.0;
   double processing_jitter = 0.0;
   size_t router_queue_limit = 50;
-  // Fault injection: mean time between failures per ready replica (seconds);
-  // 0 disables. A failing replica drains its in-flight request and exits, so
-  // capacity (not requests) is lost -- the autoscaler must notice and
-  // re-provision.
-  double replica_mtbf_s = 0.0;
   // Optional node model: when non-empty, every replica must be *placed* on a
   // node (strategy below); replicas that do not fit stay Pending and are
   // retried each reactive tick -- fragmentation can delay scale-ups even when
@@ -138,12 +109,11 @@ struct SimConfig {
   // correlated replica bursts, cold-start stragglers, and actuation faults.
   // The injector draws from its own RNG stream (seeded from this config's
   // seed and the plan's seed), so an inactive plan leaves the run bit-
-  // identical to a build without the fault subsystem.
+  // identical to a build without the fault subsystem. A failing replica
+  // drains its in-flight request and exits, so capacity (not requests) is
+  // lost -- the autoscaler must notice and re-provision.
   FaultPlan faults;
-  double metrics_window_s = 60.0;
   double reactive_interval_s = 10.0;
-  // How many per-minute arrival-rate observations are exposed to predictors.
-  size_t history_steps = 30;
   uint64_t seed = 1;
   // Observability (src/obs/): request-lifecycle spans (queue-wait, cold
   // start, service, drops) are recorded against *sim time* into this session
@@ -152,10 +122,6 @@ struct SimConfig {
   // neither perturbs the simulation -- no RNG draws, no FP changes.
   TraceSession trace;
   bool obs_metrics = false;
-  // Future-event-set implementation. Both kinds pop in the identical total
-  // order (time, then push sequence), so this is a pure performance knob:
-  // the calendar queue is O(1) amortised, the binary heap is the reference.
-  SchedulerKind scheduler = SchedulerKind::kCalendar;
   // Per-minute output series (JobRunStats::minute_*, the cluster timelines).
   // Hyperscale runs switch this off to keep memory flat: averages are then
   // maintained as running sums and the timelines come back empty.
@@ -168,11 +134,6 @@ struct SimConfig {
   // nothing; a non-null observer sees every published generation in order
   // and must outlive the run.
   DesiredStateObserver* desired_observer = nullptr;
-  // Actuation path (see ActuationMode above) and the reconciler's retry/
-  // backoff knobs. The reconciler's jitter seed is derived from this config's
-  // seed; `reconciler.seed` is an extra mix-in (0 = none).
-  ActuationMode actuation = ActuationMode::kReconciler;
-  ReconcilerConfig reconciler;
   // Decision-audit sink for actuation records (one per converged generation,
   // label `audit_label + "/actuate"`). Null disables; the log must outlive
   // the run. Virtual-time fields only, so records are deterministic.
@@ -191,8 +152,8 @@ struct JobRunStats {
   double avg_effective_utility = 0.0;  // with the drop penalty (Eq. 2)
   double avg_replicas = 0.0;
   // --- fault / recovery accounting (zeros in fault-free runs) --------------
-  // Replicas killed under this job by any injection path (replica_mtbf_s,
-  // node crash/drain, correlated bursts).
+  // Replicas killed under this job by any injection path (node crash/drain,
+  // correlated bursts).
   uint64_t injected_failures = 0;
   // Integral of the replica deficit (kill-time target minus live replicas)
   // over time: how much provisioned capacity the faults actually cost.
@@ -257,8 +218,7 @@ struct RunResult {
   // count summed across jobs. Measurement, not simulation state.
   uint64_t events_processed = 0;
   double cluster_peak_replicas = 0.0;
-  // Reconciling-actuator convergence telemetry (src/actuate/). All-zero in
-  // kInStep mode apart from the publish/converge counts of the first passes.
+  // Reconciling-actuator convergence telemetry (src/actuate/).
   ReconcileTelemetry actuation;
 };
 

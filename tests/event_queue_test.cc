@@ -1,10 +1,11 @@
-// Calendar queue vs reference binary heap: both EventScheduler
-// implementations must pop the exact same (time, sequence) total order for
-// any event stream, so swapping them is bit-invisible to the simulation.
-// The property tests drive both with identical randomized interleaved
-// push/pop streams -- ties, bucket-jumping time gaps, every EventKind
-// including kFaultEvent and kDelayedScaleUp, grow and shrink resizes -- and
-// the full-simulation test asserts identical JobRunStats end to end.
+// Calendar queue vs reference binary heap (tests/binary_heap_scheduler.h):
+// the simulator's calendar queue must pop the exact (time, sequence) total
+// order of a plain binary heap for any event stream. The property tests drive
+// both with identical randomized interleaved push/pop streams -- ties,
+// bucket-jumping time gaps, every EventKind including kFaultEvent and
+// kDelayedScaleUp, grow and shrink resizes -- and with simulation-shaped
+// streams: periodic control ticks that land on identical times, per-minute
+// arrival batches, and follow-up events pushed at the current time.
 
 #include <cstdlib>
 #include <string>
@@ -14,7 +15,7 @@
 
 #include "src/common/rng.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/harness.h"
+#include "tests/binary_heap_scheduler.h"
 
 namespace faro {
 namespace {
@@ -127,59 +128,119 @@ TEST(EventQueueTest, GrowAndShrinkKeepOrder) {
   EXPECT_TRUE(calendar.Empty());
 }
 
-TEST(EventQueueTest, ClearEmptiesBothKinds) {
-  for (const SchedulerKind kind : {SchedulerKind::kCalendar, SchedulerKind::kBinaryHeap}) {
-    auto scheduler = MakeScheduler(kind);
-    for (int i = 0; i < 100; ++i) {
-      scheduler->Push(Event{static_cast<double>(i), EventKind::kArrival, 0,
-                            static_cast<uint64_t>(i), 0.0});
-    }
-    EXPECT_EQ(scheduler->size(), 100u);
-    scheduler->Clear();
-    EXPECT_TRUE(scheduler->Empty());
-    EXPECT_EQ(scheduler->size(), 0u);
-    // Reusable after Clear.
-    scheduler->Push(Event{1.0, EventKind::kCompletion, 3, 7, 0.5});
-    EXPECT_EQ(scheduler->Pop().job, 3u);
+template <typename Scheduler>
+void ExpectClearEmpties(Scheduler& scheduler) {
+  for (int i = 0; i < 100; ++i) {
+    scheduler.Push(Event{static_cast<double>(i), EventKind::kArrival, 0,
+                         static_cast<uint64_t>(i), 0.0});
   }
+  EXPECT_EQ(scheduler.size(), 100u);
+  scheduler.Clear();
+  EXPECT_TRUE(scheduler.Empty());
+  EXPECT_EQ(scheduler.size(), 0u);
+  // Reusable after Clear.
+  scheduler.Push(Event{1.0, EventKind::kCompletion, 3, 7, 0.5});
+  EXPECT_EQ(scheduler.Pop().job, 3u);
 }
 
-// End-to-end: the classic engine must produce bit-identical results under
-// either scheduler -- the whole point of the exact-total-order contract.
-TEST(EventQueueTest, FullSimulationIdenticalUnderBothSchedulers) {
-  ExperimentSetup setup;
-  setup.num_jobs = 3;
-  setup.capacity = 12.0;
-  setup.right_size_replicas = 11.0;
-  setup.days = 2;
-  setup.trials = 1;
-  const PreparedWorkload workload = PrepareWorkload(setup);
+TEST(EventQueueTest, ClearEmptiesBothKinds) {
+  CalendarQueueScheduler calendar;
+  ExpectClearEmpties(calendar);
+  BinaryHeapScheduler heap;
+  ExpectClearEmpties(heap);
+}
 
-  std::vector<RunResult> runs;
-  for (const SchedulerKind kind : {SchedulerKind::kCalendar, SchedulerKind::kBinaryHeap}) {
-    setup.scheduler = kind;
-    auto policy = MakePolicy("AIAD", nullptr);
-    runs.push_back(RunPolicy(setup, workload, *policy, setup.seed + 1000));
+// Pushes one event into both schedulers under the next sequence number.
+struct SchedulerPair {
+  BinaryHeapScheduler heap;
+  CalendarQueueScheduler calendar;
+  uint64_t sequence = 0;
+
+  void Push(double time, EventKind kind, uint32_t job, double payload = 0.0) {
+    const Event event{time, kind, job, sequence++, payload};
+    heap.Push(event);
+    calendar.Push(event);
   }
-  const RunResult& a = runs[0];
-  const RunResult& b = runs[1];
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_GT(a.events_processed, 0u);
-  EXPECT_EQ(a.cluster_lost_utility, b.cluster_lost_utility);
-  EXPECT_EQ(a.cluster_slo_violation_rate, b.cluster_slo_violation_rate);
-  EXPECT_EQ(a.cluster_peak_replicas, b.cluster_peak_replicas);
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (size_t j = 0; j < a.jobs.size(); ++j) {
-    EXPECT_EQ(a.jobs[j].arrivals, b.jobs[j].arrivals) << j;
-    EXPECT_EQ(a.jobs[j].drops, b.jobs[j].drops) << j;
-    EXPECT_EQ(a.jobs[j].violations, b.jobs[j].violations) << j;
-    EXPECT_EQ(a.jobs[j].avg_utility, b.jobs[j].avg_utility) << j;
-    EXPECT_EQ(a.jobs[j].avg_replicas, b.jobs[j].avg_replicas) << j;
-    ASSERT_EQ(a.jobs[j].minute_p99.size(), b.jobs[j].minute_p99.size()) << j;
-    for (size_t t = 0; t < a.jobs[j].minute_p99.size(); ++t) {
-      ASSERT_EQ(a.jobs[j].minute_p99[t], b.jobs[j].minute_p99[t]) << j << "@" << t;
+};
+
+// Replays the event pattern of the simulator's loop against both schedulers:
+// reactive (10 s), metrics (60 s) and decision (300 s) ticks that reschedule
+// themselves and so coincide at identical times; a Poisson batch of arrivals
+// per minute, pushed when the minute's metrics tick fires; completions after
+// a service time that is sometimes zero (a push at the current time);
+// cold-start readies exactly 60 s after a tick (landing on another tick's
+// time); and fault events at the current time.
+void RunSimulationShapedStream(uint64_t seed, size_t minutes, double rate_per_min) {
+  SchedulerPair q;
+  Rng rng(seed);
+  const std::string label = "seed=" + std::to_string(seed);
+  const double end_s = 60.0 * static_cast<double>(minutes);
+  auto schedule_minute = [&](size_t minute) {
+    const uint64_t count = rng.Poisson(rate_per_min);
+    const double start = 60.0 * static_cast<double>(minute);
+    for (uint64_t k = 0; k < count; ++k) {
+      q.Push(start + rng.Uniform() * 60.0, EventKind::kArrival,
+             static_cast<uint32_t>(rng.Uniform() * 8.0));
     }
+  };
+  schedule_minute(0);
+  q.Push(60.0, EventKind::kMetricsTick, 0);
+  q.Push(10.0, EventKind::kReactiveTick, 0);
+  q.Push(0.0, EventKind::kDecideTick, 0);
+  size_t next_minute = 1;
+  double now = 0.0;
+  size_t popped = 0;
+  while (!q.heap.Empty()) {
+    ASSERT_EQ(q.heap.NextTime(), q.calendar.NextTime()) << label;
+    const Event a = q.heap.Pop();
+    const Event b = q.calendar.Pop();
+    ExpectSameEvent(a, b, label + " pop " + std::to_string(popped));
+    ASSERT_GE(a.time, now) << label;
+    now = a.time;
+    ++popped;
+    if (now > end_s) {
+      continue;  // past the run: drain without rescheduling
+    }
+    switch (a.kind) {
+      case EventKind::kArrival: {
+        const double service = rng.Uniform() < 0.1 ? 0.0 : 0.18;
+        q.Push(now + service, EventKind::kCompletion, a.job, a.time);
+        break;
+      }
+      case EventKind::kReactiveTick:
+        if (rng.Uniform() < 0.2) {
+          q.Push(now + 60.0, EventKind::kReplicaReady, 0);
+        }
+        if (rng.Uniform() < 0.05) {
+          q.Push(now, EventKind::kFaultEvent, 0);
+        }
+        q.Push(now + 10.0, EventKind::kReactiveTick, 0);
+        break;
+      case EventKind::kMetricsTick:
+        if (next_minute < minutes) {
+          schedule_minute(next_minute++);
+        }
+        q.Push(now + 60.0, EventKind::kMetricsTick, 0);
+        break;
+      case EventKind::kDecideTick:
+        q.Push(now + 60.0, EventKind::kReplicaReady, 1);
+        q.Push(now + 300.0, EventKind::kDecideTick, 0);
+        break;
+      default:
+        break;
+    }
+    ASSERT_EQ(q.heap.size(), q.calendar.size()) << label;
   }
+  EXPECT_TRUE(q.calendar.Empty()) << label;
+  EXPECT_GT(popped, minutes * static_cast<size_t>(rate_per_min)) << label;
+}
+
+TEST(EventQueueTest, SimulationShapedStreamsPopIdentically) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RunSimulationShapedStream(seed, /*minutes=*/90, /*rate_per_min=*/120.0);
+  }
+  // A dense minute load pushes the calendar queue through its grow resizes.
+  RunSimulationShapedStream(11, /*minutes=*/20, /*rate_per_min=*/6000.0);
 }
 
 }  // namespace

@@ -322,35 +322,40 @@ TEST(TraceIoTest, TruncatedRaggedTailStaysLegal) {
 
 // --- Fault injection --------------------------------------------------------------
 
-class RestoringPolicy : public AutoscalingPolicy {
+// Records the replica target of every published desired-state generation.
+class TargetRecorder : public DesiredStateObserver {
  public:
-  explicit RestoringPolicy(uint32_t target) : target_(target) {}
-  std::string name() const override { return "Restoring"; }
-  double decision_interval_s() const override { return 60.0; }
-  ScalingAction Decide(double, const std::vector<JobSpec>&, const std::vector<JobMetrics>&,
-                       const ClusterResources&) override {
-    ScalingAction action;
-    action.replicas = {target_};
-    return action;
+  void OnPublish(const DesiredState& desired) override {
+    targets.push_back(desired.replicas.empty() ? 0 : desired.replicas[0]);
   }
-
- private:
-  uint32_t target_;
+  std::vector<uint32_t> targets;
 };
 
 TEST(FaultInjectionTest, FailuresDegradeFixedAllocationButRestoringPolicyRecovers) {
   SimJobConfig job;
+  job.spec.name = "job0";
   job.spec.processing_time = 0.18;
   job.spec.slo = 0.72;
   job.arrival_rate_per_min = Series(std::vector<double>(40, 600.0));  // 10 req/s
   job.initial_replicas = 4;
 
+  // Three scheduled bursts, each killing two of job 0's four replicas,
+  // between the 300 s decision ticks.
   SimConfig config;
   config.resources = ClusterResources{32.0, 32.0};
-  config.replica_mtbf_s = 600.0;  // aggressive: ~1 failure / replica / 10 min
   config.seed = 5;
+  for (const double time_s : {420.0, 1020.0, 1620.0}) {
+    FaultEvent burst;
+    burst.time_s = time_s;
+    burst.kind = FaultKind::kReplicaBurst;
+    burst.job = 0;
+    burst.count = 2;
+    config.faults.events.push_back(burst);
+  }
+  TargetRecorder recorder;
+  config.desired_observer = &recorder;
 
-  // A policy that never re-provisions bleeds replicas.
+  // A policy that never re-provisions: it re-publishes whatever it sees.
   class InertPolicy : public AutoscalingPolicy {
    public:
     std::string name() const override { return "Inert"; }
@@ -364,51 +369,31 @@ TEST(FaultInjectionTest, FailuresDegradeFixedAllocationButRestoringPolicyRecover
     }
   };
   InertPolicy inert;
-  // Fire-and-forget actuation: nothing re-issues the dead replicas between
-  // decisions, so the inert policy bleeds capacity.
-  SimConfig in_step = config;
-  in_step.actuation = ActuationMode::kInStep;
-  const RunResult bled = RunSimulation(in_step, {job}, inert);
-  EXPECT_LT(bled.jobs[0].minute_replicas.back(), 4.0);
-  EXPECT_GT(bled.jobs[0].slo_violation_rate, 0.05);
+  const RunResult healed = RunSimulation(config, {job}, inert);
 
-  RestoringPolicy restoring(4);
-  const RunResult restored = RunSimulation(in_step, {job}, restoring);
-  EXPECT_LT(restored.jobs[0].slo_violation_rate, bled.jobs[0].slo_violation_rate);
+  // Every burst landed and cost live capacity until replacements came up.
+  EXPECT_EQ(healed.faults.bursts, 3u);
+  EXPECT_EQ(healed.faults.replicas_killed, 6u);
+  EXPECT_EQ(healed.jobs[0].injected_failures, 6u);
+  EXPECT_GT(healed.jobs[0].recovery_seconds, 0.0);
+  EXPECT_GT(healed.jobs[0].capacity_seconds_lost, 0.0);
+  ASSERT_EQ(healed.fault_log.size(), 3u);
+  for (const AppliedFault& fault : healed.fault_log) {
+    EXPECT_EQ(fault.what, "replica_burst");
+    EXPECT_EQ(fault.target, "job0");
+    EXPECT_EQ(fault.count, 2u);
+  }
 
   // The reconciling actuator is level-triggered: a kill after convergence
   // reopens the deficit against the last published generation, so even the
-  // inert policy self-heals back toward its own published targets.
-  const RunResult healed = RunSimulation(config, {job}, inert);
+  // inert policy is healed back to its published target of 4 -- and never
+  // publishes a lower one, because it sees the repairs as starting replicas.
   EXPECT_GT(healed.actuation.retries, 0u);
-  EXPECT_LT(healed.jobs[0].slo_violation_rate, bled.jobs[0].slo_violation_rate);
-}
-
-TEST(FaultInjectionTest, ZeroMtbfDisablesFailures) {
-  SimJobConfig job;
-  job.spec.processing_time = 0.18;
-  job.spec.slo = 0.72;
-  job.arrival_rate_per_min = Series(std::vector<double>(10, 300.0));
-  job.initial_replicas = 3;
-  SimConfig config;
-  config.resources = ClusterResources{8.0, 8.0};
-  config.replica_mtbf_s = 0.0;
-  class Inert : public AutoscalingPolicy {
-   public:
-    std::string name() const override { return "Inert"; }
-    ScalingAction Decide(double, const std::vector<JobSpec>&,
-                         const std::vector<JobMetrics>& m,
-                         const ClusterResources&) override {
-      ScalingAction a;
-      a.replicas = {static_cast<uint32_t>(m[0].ready_replicas)};
-      return a;
-    }
-  };
-  Inert policy;
-  const RunResult result = RunSimulation(config, {job}, policy);
-  for (const double r : result.jobs[0].minute_replicas) {
-    EXPECT_DOUBLE_EQ(r, 3.0);
+  ASSERT_FALSE(recorder.targets.empty());
+  for (const uint32_t target : recorder.targets) {
+    EXPECT_EQ(target, 4u);
   }
+  EXPECT_DOUBLE_EQ(healed.jobs[0].minute_replicas.back(), 4.0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Chaos-injection layer: plan validation, named scenarios, and the injected
 // fault paths through the simulator -- node crash/recover, correlated bursts,
-// actuation faults, cold-start stragglers, the pre-existing replica_mtbf_s
-// process, Pending-placement retry, and the recovery metrics every path feeds.
+// actuation faults, cold-start stragglers, Pending-placement retry, and the
+// recovery metrics every path feeds.
 
 #include <cmath>
 #include <stdexcept>
@@ -243,6 +243,11 @@ TEST(ChaosSimTest, ScheduledBurstKillsFractionAndRecovers) {
   EXPECT_EQ(result.faults.bursts, 1u);
   EXPECT_EQ(result.faults.replicas_killed, 4u);
   EXPECT_EQ(result.jobs[0].injected_failures, 4u);
+  // The live pool sat below its pre-burst count until replacements came up.
+  EXPECT_GT(result.jobs[0].recovery_seconds, 0.0);
+  ASSERT_EQ(result.fault_log.size(), 1u);
+  EXPECT_EQ(result.fault_log[0].what, "replica_burst");
+  EXPECT_EQ(result.fault_log[0].count, 4u);
   // The fixed policy restores the target within a cold start or two.
   EXPECT_GE(result.jobs[0].utility_reconverge_s, 0.0);
 }
@@ -286,23 +291,6 @@ TEST(ChaosSimTest, ColdStartStragglersAreCountedAndSlow) {
   // straggling cluster still serves 20 req/s on one replica while the clean
   // one has been fully up for a minute.
   EXPECT_LT(slow.jobs[0].minute_utility[2], clean.jobs[0].minute_utility[2] - 0.2);
-}
-
-TEST(ChaosSimTest, ReplicaMtbfInjectionFeedsRecoveryMetrics) {
-  // Satellite: the pre-existing replica_mtbf_s process now reports through
-  // the same counters and per-job recovery metrics as the chaos layer.
-  SimConfig config = MakeConfig(16.0);
-  config.replica_mtbf_s = 600.0;  // aggressive: ~1 death per replica per 10 min
-  FixedPolicy policy({8});
-  const auto result = RunSimulation(config, {MakeJob(600.0, 40, 8)}, policy);
-  EXPECT_GT(result.faults.replicas_killed, 0u);
-  EXPECT_GT(result.jobs[0].injected_failures, 0u);
-  EXPECT_GT(result.jobs[0].recovery_seconds, 0.0);
-  bool logged = false;
-  for (const AppliedFault& fault : result.fault_log) {
-    logged = logged || fault.what == "replica_mtbf";
-  }
-  EXPECT_TRUE(logged);
 }
 
 TEST(ChaosSimTest, PendingPlacementRetriesAfterNodeRecovery) {

@@ -134,14 +134,6 @@ TEST(SolverDeterminismTest, HierarchicalSolveBitIdenticalAcrossThreadCounts) {
   CheckAcrossParallelism(config, /*num_jobs=*/12, /*capacity=*/40.0, "hierarchical");
 }
 
-TEST(SolverDeterminismTest, EarlyExitToggleDoesNotBreakDeterminism) {
-  // Early exit may select a different winner than the full sweep, but each
-  // setting must itself be schedule-invariant (default is on).
-  FaroConfig config;
-  config.multistart_early_exit = false;
-  CheckAcrossParallelism(config, /*num_jobs=*/10, /*capacity=*/36.0, "no-early-exit");
-}
-
 TEST(SolverDeterminismTest, SameSeedSameActionsDifferentSeedUsuallyDiffers) {
   FaroConfig config;
   const std::vector<ScalingAction> a = RunCycles(config, 10, 36.0, 3);
