@@ -86,10 +86,9 @@ class ClusterPort {
   virtual uint32_t Fleet(size_t job) const = 0;
 
   // Applies the per-job target. `first_pass` runs the port's full actuation
-  // semantics for a fresh generation (scale-up with fault draws, scale-down,
-  // historical baseline quirks); repair passes only re-issue the missing
-  // scale-up delta. Returns the number of replica operations issued (0 when
-  // the call was a no-op).
+  // semantics for a fresh generation (scale-up with fault draws, scale-down);
+  // repair passes only re-issue the missing scale-up delta. Returns the
+  // number of replica operations issued (0 when the call was a no-op).
   virtual uint32_t ApplyTarget(size_t job, uint32_t target, bool first_pass,
                                double now_s) = 0;
 

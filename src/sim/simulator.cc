@@ -42,9 +42,9 @@ ReconcilerConfig SimReconcilerConfig(uint64_t seed) {
 }
 
 // The engine: one event loop, one RNG stream shared by every job. The
-// future-event set is a calendar queue that pops in (time, sequence) order;
-// per-request state lives in a struct-of-arrays RequestPool instead of per-job
-// deques.
+// future-event set (EventQueue) pops in (time, sequence) order from a binary
+// heap and the current minute's sorted arrival batch; per-request state
+// lives in a struct-of-arrays RequestPool instead of per-job deques.
 //
 // The engine is a SimStepper: Init() primes the run, StepUntil() drains the
 // event loop up to a sim-time target, Finish() aggregates. The batch path
@@ -66,7 +66,7 @@ class Simulation final : public SimStepper, private ClusterPort {
   Simulation(const SimConfig& config, const std::vector<SimJobConfig>& jobs,
              AutoscalingPolicy& policy)
       : config_(config), jobs_(jobs), policy_(policy), rng_(config.seed),
-        trace_(config.trace), events_(4096), injector_(config.faults, config.seed),
+        trace_(config.trace), injector_(config.faults, config.seed),
         reconciler_(SimReconcilerConfig(config.seed)) {}
 
   void Init();
@@ -169,7 +169,7 @@ class Simulation final : public SimStepper, private ClusterPort {
   Histogram::Cell* m_latency_ = nullptr;
   Histogram::Cell* m_queue_wait_ = nullptr;
   Histogram::Cell* m_cold_start_ = nullptr;
-  CalendarQueueScheduler events_;
+  EventQueue events_;
   RequestPool pool_;
   std::vector<double> scratch_latencies_;
   std::vector<JobMetrics> metrics_scratch_;
@@ -245,18 +245,23 @@ class Simulation final : public SimStepper, private ClusterPort {
 };
 
 void Simulation::ScheduleMinuteArrivals(size_t minute) {
-  for (uint32_t j = 0; j < jobs_.size(); ++j) {
-    const Series& trace = jobs_[j].arrival_rate_per_min;
-    if (minute >= trace.size()) {
-      continue;
+  // Arrivals skip the heap: they form the queue's sorted arrival batch, drawn
+  // in the same order and under the same sequence numbers as any other push.
+  const double start = static_cast<double>(minute) * kMetricsWindowS;
+  events_.LoadArrivals(start, kMetricsWindowS, [&](std::vector<Event>& batch) {
+    for (uint32_t j = 0; j < jobs_.size(); ++j) {
+      const Series& trace = jobs_[j].arrival_rate_per_min;
+      if (minute >= trace.size()) {
+        continue;
+      }
+      const double rate = std::max(0.0, trace[minute]);
+      const uint64_t count = rng_.Poisson(rate);
+      for (uint64_t k = 0; k < count; ++k) {
+        batch.push_back(Event{start + rng_.Uniform() * kMetricsWindowS,
+                              EventKind::kArrival, j, sequence_++, 0.0});
+      }
     }
-    const double rate = std::max(0.0, trace[minute]);
-    const uint64_t count = rng_.Poisson(rate);
-    const double start = static_cast<double>(minute) * 60.0;
-    for (uint64_t k = 0; k < count; ++k) {
-      Push(start + rng_.Uniform() * 60.0, EventKind::kArrival, j);
-    }
-  }
+  });
 }
 
 void Simulation::RecordLatency(uint32_t job, double latency) {
@@ -591,30 +596,12 @@ uint32_t Simulation::ApplyTarget(size_t job, uint32_t target, bool first_pass,
                                  double /*now_s*/) {
   const uint32_t j = static_cast<uint32_t>(job);
   JobState& js = state_[j];
-  if (!first_pass) {
-    // Repair pass: re-issue only the committed-fleet shortfall (ready +
-    // starting + pending placements -- everything the cluster already owes
-    // us). Downscales are one-shot per generation: replicas draining toward
-    // a pending removal still sit in `ready`, so re-issuing would
-    // double-drain.
-    const uint32_t fleet = js.ready + js.starting + pending_placement_[j];
-    if (fleet >= target) {
-      return 0;
-    }
-    uint32_t add = target - fleet;
-    add = DrawActuationFor(j, add);
-    for (uint32_t k = 0; k < add; ++k) {
-      if (!TryProvisionReplica(j)) {
-        ++pending_placement_[j];
-      }
-    }
-    return add;
-  }
-  // First pass: the historical in-step apply, bit-exact. The scale-up
-  // baseline deliberately excludes pending placements (the pre-reconciler
-  // engines always re-requested them; CollectJobMetrics folds them into
-  // starting_replicas, so the policy's own baseline matches).
-  const uint32_t current = js.ready + js.starting;
+  // Both passes measure against the committed fleet: ready + starting +
+  // pending placements, everything the cluster already owes the job. The
+  // policy's target counts pending placements too (CollectJobMetrics folds
+  // them into starting_replicas), so a smaller baseline would re-request
+  // every Pending pod on each generation.
+  const uint32_t current = Fleet(j);
   if (target > current) {
     uint32_t add = target - current;
     add = DrawActuationFor(j, add);
@@ -625,36 +612,39 @@ uint32_t Simulation::ApplyTarget(size_t job, uint32_t target, bool first_pass,
     }
     return add;
   }
-  if (target < current) {
-    // A deliberate downscale lowers the post-fault recovery bar: the
-    // autoscaler no longer owes the pre-kill replica count.
-    js.recover_target = std::min(js.recover_target, target);
-    uint32_t remove = current - target;
-    const uint32_t removed = remove;
-    // Pending placements are free to abandon.
-    const uint32_t unqueue = std::min(remove, pending_placement_[j]);
-    pending_placement_[j] -= unqueue;
-    remove -= unqueue;
-    // Cancel cold starts next.
-    const uint32_t cancel = std::min(remove, js.starting);
-    js.starting -= cancel;
-    js.cancelled_starts += cancel;
-    remove -= cancel;
-    // Then idle replicas, immediately.
-    const uint32_t idle = js.ready - js.busy;
-    const uint32_t drop_idle = std::min(remove, idle);
-    js.ready -= drop_idle;
-    remove -= drop_idle;
-    // Busy replicas exit after their in-flight request (graceful drain).
-    js.pending_removal += remove;
-    if (placement_ != nullptr) {
-      for (uint32_t k = 0; k < cancel + drop_idle; ++k) {
-        (void)placement_->RemoveReplica(jobs_[j].spec);
-      }
-    }
-    return removed;
+  // Downscales are one-shot per generation (first pass only): replicas
+  // draining toward a pending removal still sit in `ready`, so a repair pass
+  // re-issuing one would double-drain.
+  if (!first_pass || target == current) {
+    return 0;
   }
-  return 0;
+  // A deliberate downscale lowers the post-fault recovery bar: the
+  // autoscaler no longer owes the pre-kill replica count.
+  js.recover_target = std::min(js.recover_target, target);
+  uint32_t remove = current - target;
+  const uint32_t removed = remove;
+  // Pending placements are free to abandon.
+  const uint32_t unqueue = std::min(remove, pending_placement_[j]);
+  pending_placement_[j] -= unqueue;
+  remove -= unqueue;
+  // Cancel cold starts next.
+  const uint32_t cancel = std::min(remove, js.starting);
+  js.starting -= cancel;
+  js.cancelled_starts += cancel;
+  remove -= cancel;
+  // Then idle replicas, immediately.
+  const uint32_t idle = js.ready - js.busy;
+  const uint32_t drop_idle = std::min(remove, idle);
+  js.ready -= drop_idle;
+  remove -= drop_idle;
+  // Busy replicas exit after their in-flight request (graceful drain).
+  js.pending_removal += remove;
+  if (placement_ != nullptr) {
+    for (uint32_t k = 0; k < cancel + drop_idle; ++k) {
+      (void)placement_->RemoveReplica(jobs_[j].spec);
+    }
+  }
+  return removed;
 }
 
 void Simulation::SetDropRate(size_t job, double rate) {
@@ -815,14 +805,12 @@ void Simulation::Init() {
 }
 
 void Simulation::StepUntil(double until_s) {
-  // Peeking the head (instead of the historical pop-then-break) is exact:
-  // NextTime() returns the time of the event Pop() would hand back, so an
-  // event past the limit is simply left in the queue -- unprocessed and
-  // uncounted either way. That makes stepping to any intermediate target a
-  // pure prefix of the batch loop.
+  // PopNext leaves an event past the limit in the queue, unprocessed and
+  // uncounted, so stepping to any intermediate target is a pure prefix of
+  // the batch loop.
   const double limit = std::min(until_s, duration_);
-  while (!events_.Empty() && events_.NextTime() <= limit) {
-    const Event event = events_.Pop();
+  Event event;
+  while (events_.PopNext(limit, event)) {
     ++events_processed_;
     now_ = event.time;
     switch (event.kind) {
@@ -930,7 +918,7 @@ void Simulation::StepUntil(double until_s) {
       }
     }
   }
-  if (events_.Empty() || events_.NextTime() > duration_) {
+  if (events_.NextTime() > duration_) {
     done_ = true;
   }
 }
@@ -940,6 +928,8 @@ RunResult Simulation::Finish() {
   RunResult result;
   result.jobs.resize(jobs_.size());
   result.events_processed = events_processed_;
+  result.peak_event_set_size = events_.peak_heap_size();
+  result.peak_arrival_batch_size = events_.peak_batch_size();
   result.cluster_peak_replicas = peak_replicas_;
   size_t minutes = std::numeric_limits<size_t>::max();
   for (const JobState& js : state_) {
@@ -986,6 +976,17 @@ RunResult Simulation::Finish() {
         hist.Record(stats.lost_by_cause[c]);
       }
     }
+    // Per-run peaks of the two event sources. A peak does not sum across
+    // runs, so each run records one histogram sample: _count is the runs,
+    // the upper quantiles the largest.
+    registry
+        .GetHistogram("faro_sim_event_set_peak_size",
+                      "Largest future-event heap population of a run (arrivals excluded)")
+        .Record(static_cast<double>(result.peak_event_set_size));
+    registry
+        .GetHistogram("faro_sim_arrival_batch_peak_size",
+                      "Largest one-minute arrival batch of a run")
+        .Record(static_cast<double>(result.peak_arrival_batch_size));
     registry
         .GetCounter("faro_slo_burn_alerts_fast_total",
                     "Fast-window (1h) error-budget burn-rate alert onsets")

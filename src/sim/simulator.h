@@ -218,6 +218,10 @@ struct RunResult {
   // count summed across jobs. Measurement, not simulation state.
   uint64_t events_processed = 0;
   double cluster_peak_replicas = 0.0;
+  // Scheduler growth: the largest future-event heap population (everything
+  // but arrivals) and the largest one-minute arrival batch of the run.
+  uint64_t peak_event_set_size = 0;
+  uint64_t peak_arrival_batch_size = 0;
   // Reconciling-actuator convergence telemetry (src/actuate/).
   ReconcileTelemetry actuation;
 };

@@ -74,6 +74,9 @@ void ExpectRunsIdentical(const RunResult& a, const RunResult& b, const std::stri
     EXPECT_EQ(a.fault_log[i], b.fault_log[i]) << label << " fault " << i;
   }
   EXPECT_EQ(a.faults.replicas_killed, b.faults.replicas_killed) << label;
+  // Scheduler growth is a pure function of the event stream.
+  EXPECT_EQ(a.peak_event_set_size, b.peak_event_set_size) << label;
+  EXPECT_EQ(a.peak_arrival_batch_size, b.peak_arrival_batch_size) << label;
   EXPECT_EQ(a.faults.node_crashes, b.faults.node_crashes) << label;
   EXPECT_EQ(a.faults.bursts, b.faults.bursts) << label;
   EXPECT_EQ(a.faults.actuation_drops, b.faults.actuation_drops) << label;
@@ -140,8 +143,11 @@ TEST(ChaosDeterminismTest, BitIdenticalAcrossSolverThreadCounts) {
     }
     ExpectRunsIdentical(runs[0], runs[1], scenario + " 1v2");
     ExpectRunsIdentical(runs[0], runs[2], scenario + " 1v8");
-    // The chaos actually fired (the scenarios are not vacuous).
+    // The chaos actually fired (the scenarios are not vacuous), and both
+    // scheduler peaks were measured.
     EXPECT_FALSE(runs[0].fault_log.empty()) << scenario;
+    EXPECT_GT(runs[0].peak_event_set_size, 0u) << scenario;
+    EXPECT_GT(runs[0].peak_arrival_batch_size, 0u) << scenario;
     // Bucket sums reconstruct each window's lost utility bit for bit, and the
     // exported attribution CSV is byte-identical at every thread count.
     ExpectAttributionExact(runs[0], scenario);

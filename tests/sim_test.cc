@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -140,6 +142,44 @@ TEST(SimulatorTest, ColdStartDelaysScaleUp) {
   ASSERT_GE(p99.size(), 10u);
   EXPECT_GT(p99[0], 0.720);             // pre-cold-start minute suffers
   EXPECT_LT(p99[p99.size() - 1], 0.720);  // steady state healthy
+}
+
+// A target the nodes can never place must not snowball. The policy
+// re-publishes it on every reactive tick, and its metrics count Pending pods
+// as starting replicas; measuring each generation's scale-up from ready +
+// starting alone re-requested every Pending pod on every publish, so pending
+// placements grew without bound.
+TEST(SimulatorTest, UnplaceableTargetKeepsPendingPlacementsBounded) {
+  class ReassertTarget : public AutoscalingPolicy {
+   public:
+    std::string name() const override { return "ReassertTarget"; }
+    ScalingAction Decide(double, const std::vector<JobSpec>&,
+                         const std::vector<JobMetrics>&,
+                         const ClusterResources&) override {
+      ScalingAction action;
+      action.replicas = {target};
+      return action;
+    }
+    std::optional<ScalingAction> FastReact(double, const std::vector<JobSpec>&,
+                                           const std::vector<JobMetrics>& metrics,
+                                           const ClusterResources& resources) override {
+      ++ticks;
+      max_committed = std::max(max_committed, metrics[0].ready_replicas +
+                                                  metrics[0].starting_replicas);
+      return Decide(0.0, {}, metrics, resources);
+    }
+    uint32_t target = 10;
+    uint32_t max_committed = 0;
+    size_t ticks = 0;
+  };
+  ReassertTarget policy;
+  SimConfig config = MakeConfig(32.0);
+  config.nodes = {Node{"n0", 3.0, 3.0}};  // room for 3 of the 10 replicas
+  const auto result = RunSimulation(config, {MakeJob(600.0, 20, 1)}, policy);
+  EXPECT_GT(policy.ticks, 100u);
+  EXPECT_GE(policy.max_committed, 3u);
+  EXPECT_LE(policy.max_committed, policy.target);
+  EXPECT_GT(result.jobs[0].arrivals, 0u);
 }
 
 TEST(SimulatorTest, DeterministicForSameSeed) {
