@@ -85,6 +85,8 @@ BenchRun RunFleet(const std::vector<SimJobConfig>& jobs) {
   config.cold_start_jitter_s = 10.0;
   config.record_minute_series = false;  // flat memory at fleet scale
   config.seed = 20250808;
+  // --metrics-out feeds the simulator's registry (event-set peaks included).
+  config.obs_metrics = DefaultObsConfig().metrics_enabled();
 
   auto policy = MakePolicy("AIAD", nullptr);
   const auto start = std::chrono::steady_clock::now();

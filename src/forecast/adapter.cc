@@ -2,17 +2,41 @@
 
 #include <algorithm>
 
+#include "src/common/parallel.h"
+
 namespace faro {
 
-double NHitsWorkloadPredictor::TrainJob(size_t job, const Series& train) {
+std::unique_ptr<NHitsModel> NHitsWorkloadPredictor::MakeModel(size_t job) const {
   NHitsConfig config = model_config_;
   config.seed = model_config_.seed + job * 7919;
-  auto model = std::make_unique<NHitsModel>(config);
+  return std::make_unique<NHitsModel>(config);
+}
+
+TrainConfig NHitsWorkloadPredictor::JobTrainConfig(size_t job) const {
   TrainConfig tc = train_config_;
   tc.seed = train_config_.seed + job * 104729;
-  const double loss = model->TrainOnSeries(train, tc);
+  return tc;
+}
+
+double NHitsWorkloadPredictor::TrainJob(size_t job, const Series& train) {
+  std::unique_ptr<NHitsModel> model = MakeModel(job);
+  const double loss = model->TrainOnSeries(train, JobTrainConfig(job));
   models_[job] = std::move(model);
   return loss;
+}
+
+void NHitsWorkloadPredictor::TrainJobs(std::span<const Series> trains) {
+  std::vector<std::unique_ptr<NHitsModel>> models;
+  models.reserve(trains.size());
+  for (size_t job = 0; job < trains.size(); ++job) {
+    models.push_back(MakeModel(job));
+  }
+  ParallelFor(trains.size(), [&](size_t job) {
+    models[job]->TrainOnSeries(trains[job], JobTrainConfig(job));
+  });
+  for (size_t job = 0; job < trains.size(); ++job) {
+    models_[job] = std::move(models[job]);
+  }
 }
 
 NHitsModel* NHitsWorkloadPredictor::model(size_t job) {

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 
 #include "src/common/series.h"
@@ -25,6 +26,13 @@ class NHitsWorkloadPredictor : public WorkloadPredictor {
   // Returns the final training loss.
   double TrainJob(size_t job, const Series& train);
 
+  // Trains job i on trains[i] for every i, in parallel across jobs on the
+  // shared pool. Each model is bit-identical to TrainJob(i, trains[i]):
+  // models are seeded per job and share no state while they train. The
+  // models are constructed here, on the calling thread, so their long-lived
+  // buffers never sit in a worker thread's malloc arena.
+  void TrainJobs(std::span<const Series> trains);
+
   // Number of jobs with a trained model.
   size_t trained_jobs() const { return models_.size(); }
 
@@ -42,6 +50,11 @@ class NHitsWorkloadPredictor : public WorkloadPredictor {
                                       size_t horizon, double quantile) override;
 
  private:
+  // The untrained model for `job` and its training settings; both seeds
+  // are derived per job here, for TrainJob and TrainJobs alike.
+  std::unique_ptr<NHitsModel> MakeModel(size_t job) const;
+  TrainConfig JobTrainConfig(size_t job) const;
+
   NHitsConfig model_config_;
   TrainConfig train_config_;
   std::unordered_map<size_t, std::unique_ptr<NHitsModel>> models_;

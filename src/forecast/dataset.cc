@@ -39,10 +39,7 @@ WindowDataset::WindowDataset(const Series& series, size_t input_size, size_t hor
   values_ = standardizer.TransformAll(series.values());
   const size_t window = input_size + horizon;
   if (values_.size() >= window) {
-    starts_.reserve(values_.size() - window + 1);
-    for (size_t s = 0; s + window <= values_.size(); ++s) {
-      starts_.push_back(s);
-    }
+    size_ = values_.size() - window + 1;
   }
 }
 

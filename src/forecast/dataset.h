@@ -31,15 +31,15 @@ class WindowDataset {
   WindowDataset(const Series& series, size_t input_size, size_t horizon,
                 const Standardizer& standardizer);
 
-  size_t size() const { return starts_.size(); }
+  size_t size() const { return size_; }
   size_t input_size() const { return input_size_; }
   size_t horizon() const { return horizon_; }
 
   std::span<const double> Input(size_t i) const {
-    return {values_.data() + starts_[i], input_size_};
+    return {values_.data() + i, input_size_};
   }
   std::span<const double> Target(size_t i) const {
-    return {values_.data() + starts_[i] + input_size_, horizon_};
+    return {values_.data() + i + input_size_, horizon_};
   }
 
   // Random window order for one epoch.
@@ -49,7 +49,7 @@ class WindowDataset {
   size_t input_size_;
   size_t horizon_;
   std::vector<double> values_;  // standardised copy of the series
-  std::vector<size_t> starts_;
+  size_t size_ = 0;             // window i starts at values_[i]
 };
 
 }  // namespace faro

@@ -109,23 +109,13 @@ double DeepArModel::TrainOnSeries(const Series& train, const TrainConfig& train_
       }
 
       if (++in_batch == train_config.batch_size) {
-        for (Vec* g : grads) {
-          for (double& v : *g) {
-            v /= static_cast<double>(in_batch);
-          }
-        }
-        adam.Step(params, grads);
+        adam.Step(params, grads, in_batch);
         zero_grad();
         in_batch = 0;
       }
     }
     if (in_batch > 0) {
-      for (Vec* g : grads) {
-        for (double& v : *g) {
-          v /= static_cast<double>(in_batch);
-        }
-      }
-      adam.Step(params, grads);
+      adam.Step(params, grads, in_batch);
       zero_grad();
     }
     epoch_loss /= static_cast<double>(dataset.size());

@@ -151,23 +151,13 @@ double LstmModel::TrainOnSeries(const Series& train, const TrainConfig& train_co
       }
       Backward(dy);
       if (++in_batch == train_config.batch_size) {
-        for (Vec* g : grads) {
-          for (double& v : *g) {
-            v /= static_cast<double>(in_batch);
-          }
-        }
-        adam.Step(params, grads);
+        adam.Step(params, grads, in_batch);
         ZeroGrad();
         in_batch = 0;
       }
     }
     if (in_batch > 0) {
-      for (Vec* g : grads) {
-        for (double& v : *g) {
-          v /= static_cast<double>(in_batch);
-        }
-      }
-      adam.Step(params, grads);
+      adam.Step(params, grads, in_batch);
       ZeroGrad();
     }
     epoch_loss /= static_cast<double>(dataset.size());

@@ -64,7 +64,8 @@ class NHitsModel {
   const NHitsConfig& config() const { return config_; }
 
   // Forward pass in standardised space; caches activations for Backward.
-  Output Forward(std::span<const double> x);
+  // The result lives in the model and is overwritten by the next call.
+  const Output& Forward(std::span<const double> x);
 
   // Accumulates parameter gradients given dL/dmu and dL/dsigma (sigma grads
   // ignored for point models). Must follow the matching Forward call.
@@ -96,14 +97,36 @@ class NHitsModel {
                                                       size_t num_samples, Rng& rng);
 
  private:
-  struct StackCache {
-    Vec input;           // residual input x_s
-    Vec pooled;
-    std::vector<size_t> argmax;
-    std::vector<Vec> layer_in;   // input of each linear layer
-    std::vector<Vec> layer_out;  // post-activation output of each layer
-    Vec theta;
+  // Training runs a batch as tiles of up to this many windows: each layer
+  // processes a whole tile at once, so its weight and gradient rows are read
+  // once per tile instead of once per window.
+  static constexpr size_t kWindowTile = 8;
+
+  // Activations and gradients of up to `capacity` windows, window-major.
+  struct Tile {
+    Tile() = default;
+    Tile(const NHitsModel& model, size_t capacity);
+
+    // acts[b][0]: block b's pooled input; acts[b][l + 1]: output of layer l.
+    std::vector<std::vector<Vec>> acts;
+    std::vector<std::vector<size_t>> argmax;  // block b's max-pool argmax
+    Vec input;       // windows x input_size; the residual during ForwardTile
+    Vec mu;          // windows x horizon
+    Vec sigma_raw;   // pre-softplus sigma, cached for BackwardTile
+    Vec sigma;
+    Vec g_residual;  // dL/d(residual), windows x input_size
+    Vec dsigma_raw;
+    Vec grad;        // layer gradients, windows x widest layer
+    Vec grad_next;
   };
+
+  // Forward over the first `windows` standardised inputs in t.input (which
+  // become the residuals). Writes t.mu, t.sigma_raw and (Gaussian) t.sigma.
+  void ForwardTile(Tile& t, size_t windows);
+  // Backward for the last ForwardTile on `t`, given per-window dL/dmu and
+  // dL/dsigma (dsigma may be empty). Adds gradients in window order.
+  void BackwardTile(Tile& t, size_t windows, std::span<const double> dmu,
+                    std::span<const double> dsigma);
 
   size_t ThetaBackcastLen(size_t block) const;
   size_t ThetaForecastLen(size_t block) const;
@@ -114,8 +137,11 @@ class NHitsModel {
   NHitsConfig config_;
   // stacks_[s] is the MLP of stack s: hidden layers plus the theta head.
   std::vector<std::vector<Linear>> stacks_;
-  std::vector<StackCache> cache_;
-  Vec sigma_raw_;  // pre-softplus sigma, cached for Backward
+  Tile single_;     // Forward/Backward's one-window tile
+  Vec pooled_;      // one window's scratch
+  std::vector<size_t> argmax_;
+  Vec interp_;
+  Output output_;   // Forward's result
   Standardizer standardizer_;
   bool trained_ = false;
 };

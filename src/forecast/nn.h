@@ -21,6 +21,11 @@ namespace faro {
 using Vec = std::vector<double>;
 
 // Fully-connected layer y = W x + b with accumulated gradients.
+//
+// The kernels restructure loops for speed but never the floating-point
+// sums: y[r] is one left-to-right sum over c starting from b[r], each
+// gradient element adds its samples in sample order, and dx[c] sums over r
+// ascending from 0.0 (tests/forecast_golden_test.cc pins the bits).
 class Linear {
  public:
   Linear() = default;
@@ -29,10 +34,23 @@ class Linear {
   size_t in() const { return in_; }
   size_t out() const { return out_; }
 
-  void Forward(std::span<const double> x, Vec& y) const;
+  // y must hold out() values.
+  void Forward(std::span<const double> x, std::span<double> y) const;
+  void Forward(std::span<const double> x, Vec& y) const {
+    y.resize(out_);
+    Forward(x, std::span<double>(y));
+  }
+
+  // Backpropagates n samples at once, stored sample-major (x: n*in(),
+  // dy: n*out()): adds every sample's dL/dW and dL/db in sample order and
+  // writes dL/dx into dx (n*in(); empty to skip). The bits equal n
+  // single-sample Backward calls; a batch reads each weight and gradient row
+  // once instead of n times.
+  void BackwardBatch(std::span<const double> x, std::span<const double> dy,
+                     std::span<double> dx);
 
   // dy is dL/dy; accumulates dL/dW and dL/db, writes dL/dx into dx
-  // (dx may be empty to skip input-gradient computation for the first layer).
+  // (dx may be null to skip input-gradient computation for the first layer).
   void Backward(std::span<const double> x, std::span<const double> dy, Vec* dx);
 
   void ZeroGrad();
@@ -53,8 +71,8 @@ class Linear {
 };
 
 // ReLU applied in place; Backward masks the gradient by the forward output.
-void ReluForward(Vec& x);
-void ReluBackward(std::span<const double> activated, Vec& grad);
+void ReluForward(std::span<double> x);
+void ReluBackward(std::span<const double> activated, std::span<double> grad);
 
 // Numerically-stable softplus and its derivative (sigmoid).
 double Softplus(double x);
@@ -74,7 +92,9 @@ class AdamOptimizer {
                          double eps = 1e-8)
       : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
 
-  void Step(std::span<Vec*> params, std::span<Vec*> grads);
+  // `grads` hold gradients summed over `batch` samples; each is divided by
+  // `batch` as it is read, so the step sees the batch mean.
+  void Step(std::span<Vec*> params, std::span<Vec*> grads, size_t batch = 1);
 
  private:
   double lr_;

@@ -125,9 +125,7 @@ std::shared_ptr<NHitsWorkloadPredictor> TrainPredictor(const PreparedWorkload& w
   train_config.epochs = epochs;
   train_config.seed = seed ^ 0x5eedull;
   auto predictor = std::make_shared<NHitsWorkloadPredictor>(model_config, train_config);
-  for (size_t i = 0; i < workload.train_rates_per_s.size(); ++i) {
-    predictor->TrainJob(i, workload.train_rates_per_s[i]);
-  }
+  predictor->TrainJobs(workload.train_rates_per_s);
   return predictor;
 }
 

@@ -123,7 +123,9 @@ PreparedWorkload PrepareWorkload(const ExperimentSetup& setup);
 JobSpec ResNet34Spec(const std::string& name);
 JobSpec ResNet18Spec(const std::string& name);
 
-// Trains one probabilistic N-HiTS model per job (~seconds per job).
+// Trains one probabilistic N-HiTS model per job, jobs in parallel on the
+// shared pool (NHitsWorkloadPredictor::TrainJobs; bit-identical to training
+// them one after another).
 std::shared_ptr<NHitsWorkloadPredictor> TrainPredictor(const PreparedWorkload& workload,
                                                        uint64_t seed,
                                                        size_t epochs = 10);

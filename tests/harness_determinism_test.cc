@@ -7,7 +7,10 @@
 // These tests run under TSan in CI (cmake -DFARO_SANITIZE=thread, then
 // ctest -R Determinism) to prove the fan-out is also race-free.
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,7 @@
 
 #include "src/common/parallel.h"
 #include "src/faults/faultplan.h"
+#include "src/forecast/adapter.h"
 #include "src/sim/harness.h"
 
 namespace faro {
@@ -208,6 +212,41 @@ TEST(DeterminismTest, SharedTrainedPredictorIsRaceFreeAndDeterministic) {
   const TrialAggregate serial = RunTrials(serial_setup, workload, "Faro-FairSum", predictor);
   const TrialAggregate parallel = RunTrials(setup, workload, "Faro-FairSum", predictor);
   ExpectAggregatesIdentical(serial, parallel);
+}
+
+TEST(ForecastDeterminismTest, ParallelTrainingBitIdenticalToSerial) {
+  // TrainPredictor trains the jobs' models concurrently on the shared pool
+  // (4 threads here, one job each). A serial loop of TrainJob with the same
+  // settings must give every job the same forecast bits.
+  const ExperimentSetup setup = SmallSetup();
+  const PreparedWorkload workload = PrepareWorkload(setup);
+  const auto parallel = TrainPredictor(workload, setup.seed, /*epochs=*/1);
+
+  NHitsConfig model_config;
+  model_config.seed = setup.seed;
+  TrainConfig train_config;
+  train_config.epochs = 1;
+  train_config.seed = setup.seed ^ 0x5eedull;
+  NHitsWorkloadPredictor serial(model_config, train_config);
+  for (size_t job = 0; job < workload.train_rates_per_s.size(); ++job) {
+    serial.TrainJob(job, workload.train_rates_per_s[job]);
+  }
+
+  ASSERT_EQ(parallel->trained_jobs(), setup.num_jobs);
+  ASSERT_EQ(serial.trained_jobs(), setup.num_jobs);
+  for (size_t job = 0; job < setup.num_jobs; ++job) {
+    const std::span<const double> train = workload.train_rates_per_s[job].values();
+    const std::vector<double> history(train.end() - 15, train.end());
+    for (const double q : {0.5, 0.9}) {
+      const std::vector<double> a = parallel->PredictQuantile(job, history, 7, q);
+      const std::vector<double> b = serial.PredictQuantile(job, history, 7, q);
+      ASSERT_EQ(a.size(), b.size());
+      for (size_t k = 0; k < a.size(); ++k) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(a[k]), std::bit_cast<uint64_t>(b[k]))
+            << "job " << job << " q " << q << " step " << k;
+      }
+    }
+  }
 }
 
 // One single-trial AIAD run shape for the RunPolicy-level checks below.

@@ -1,13 +1,9 @@
-// Tests for the node-placement layer, the Holt-Winters forecaster, and the
-// no-downscale baseline variants (Table 6's INFaaS* / Cocktail* asterisks).
-
-#include <cmath>
-#include <numbers>
+// Tests for the node-placement layer and the no-downscale baseline variants
+// (Table 6's INFaaS* / Cocktail* asterisks).
 
 #include <gtest/gtest.h>
 
 #include "src/baselines/baselines.h"
-#include "src/forecast/holtwinters.h"
 #include "src/sim/placement.h"
 #include "src/sim/simulator.h"
 
@@ -94,59 +90,6 @@ TEST(PlacementTest, PlaceableSimulationDoesNotMutate) {
   const JobSpec job = OneCpuJob("a");
   EXPECT_EQ(tracker.PlaceableReplicas(job), 8u);
   EXPECT_DOUBLE_EQ(tracker.nodes()[0].cpu_used, 0.0);
-}
-
-// --- Holt-Winters --------------------------------------------------------------
-
-TEST(HoltWintersTest, TracksSeasonalSeries) {
-  HoltWintersConfig config;
-  config.period = 24;
-  HoltWintersModel model(config);
-  std::vector<double> values;
-  for (size_t t = 0; t < 24 * 8; ++t) {
-    values.push_back(100.0 + 30.0 * std::sin(2.0 * std::numbers::pi * t / 24.0) +
-                     0.05 * static_cast<double>(t));
-  }
-  ASSERT_TRUE(model.Fit(values));
-  const auto forecast = model.Forecast(24);
-  double se = 0.0;
-  for (size_t h = 0; h < 24; ++h) {
-    const size_t t = values.size() + h;
-    const double truth = 100.0 + 30.0 * std::sin(2.0 * std::numbers::pi * t / 24.0) +
-                         0.05 * static_cast<double>(t);
-    se += (forecast[h] - truth) * (forecast[h] - truth);
-  }
-  EXPECT_LT(std::sqrt(se / 24.0), 6.0);  // well inside the 30-amplitude swing
-}
-
-TEST(HoltWintersTest, OnlineObservationUpdatesLevel) {
-  HoltWintersConfig config;
-  config.period = 4;
-  HoltWintersModel model(config);
-  std::vector<double> flat(16, 10.0);
-  ASSERT_TRUE(model.Fit(flat));
-  EXPECT_NEAR(model.level(), 10.0, 1e-6);
-  for (int i = 0; i < 40; ++i) {
-    model.Observe(20.0);  // level shift
-  }
-  EXPECT_GT(model.level(), 17.0);
-}
-
-TEST(HoltWintersTest, TooShortFallsBack) {
-  HoltWintersModel model;
-  EXPECT_FALSE(model.Fit(std::vector<double>{1.0, 2.0}));
-  EXPECT_DOUBLE_EQ(model.Forecast(3)[0], 2.0);
-}
-
-TEST(HoltWintersTest, ForecastsNonNegative) {
-  HoltWintersConfig config;
-  config.period = 4;
-  HoltWintersModel model(config);
-  std::vector<double> tiny(24, 0.5);
-  ASSERT_TRUE(model.Fit(tiny));
-  for (const double v : model.Forecast(8)) {
-    EXPECT_GE(v, 0.0);
-  }
 }
 
 // --- no-downscale baseline variants -----------------------------------------------
